@@ -6,7 +6,7 @@
 // path runs every control cycle and must not take a lock a slow solver could
 // be holding.  PolicyBuffer keeps two table slots; a single writer fills the
 // inactive slot, waits for stragglers to drain off it, and flips the active
-// index with one release store (the "atomic epoch flip").  Readers are
+// index with one seq_cst store (the "atomic epoch flip").  Readers are
 // wait-free with respect to the writer: they pin a slot with a per-slot
 // reader count, re-check the active index, and copy — the writer never
 // mutates a slot a reader holds pinned, so every snapshot is internally

@@ -5,7 +5,8 @@
 // closed-system reproduction every principal registers a secret key with a
 // trusted registry, and Sign/Verify are HMACs under the principal's key.
 // This preserves the protocol-visible semantics: only the holder of node i's
-// key can produce a tag that verifies for node i.
+// key can produce a tag that verifies for node i.  Both sides keep the key as
+// an HmacKey, so the ipad/opad midstates are computed once per key.
 #pragma once
 
 #include <cstdint>
@@ -48,24 +49,27 @@ class KeyRegistry {
   static constexpr double kVerifyCost = 6.0e-5;
 
  private:
-  std::unordered_map<PrincipalId, std::string> secrets_;
+  struct Entry {
+    std::uint64_t seed;  ///< the secret is a pure function of (id, seed)
+    HmacKey key;
+  };
+  std::unordered_map<PrincipalId, Entry> keys_;
 };
 
 /// Holds a principal's secret and signs messages with it.
 class Signer {
  public:
-  Signer(PrincipalId id, std::string secret)
-      : id_(id), secret_(std::move(secret)) {}
+  Signer(PrincipalId id, std::string_view secret) : id_(id), key_(secret) {}
 
   PrincipalId id() const { return id_; }
 
   Signature sign(std::string_view message) const {
-    return Signature{id_, hmac_sha256(secret_, message)};
+    return Signature{id_, key_.sign(message)};
   }
 
  private:
   PrincipalId id_;
-  std::string secret_;
+  HmacKey key_;
 };
 
 }  // namespace tolerance::crypto

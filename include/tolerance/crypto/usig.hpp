@@ -13,6 +13,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <tuple>
 
 #include "tolerance/crypto/keys.hpp"
@@ -43,8 +44,8 @@ class Usig {
   /// layer increments it when it re-instantiates a replica's trusted
   /// component (recover/join), which is what lets the fresh counter sequence
   /// supersede the old one at verifiers.
-  Usig(PrincipalId replica, std::string secret, std::uint64_t epoch = 0)
-      : replica_(replica), secret_(std::move(secret)), epoch_(epoch) {}
+  Usig(PrincipalId replica, std::string_view secret, std::uint64_t epoch = 0)
+      : replica_(replica), key_(secret), epoch_(epoch) {}
 
   PrincipalId replica() const { return replica_; }
   std::uint64_t epoch() const { return epoch_; }
@@ -58,14 +59,16 @@ class Usig {
   static bool verify(const KeyRegistry& registry, const Digest& message_digest,
                      const UniqueIdentifier& ui);
 
- private:
+  /// The bytes a certificate authenticates:
+  /// "usig|<replica>|<epoch>|<counter>|<lowercase hex digest>".
   static std::string certificate_payload(PrincipalId replica,
                                          std::uint64_t epoch,
                                          std::uint64_t counter,
                                          const Digest& digest);
 
+ private:
   PrincipalId replica_;
-  std::string secret_;
+  HmacKey key_;
   std::uint64_t epoch_ = 0;
   std::uint64_t counter_ = 0;
 };

@@ -50,7 +50,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -427,9 +429,40 @@ class AsyncRuntime final : public Transport<Msg> {
 
   /// Pre-shared link key per directed pair, derived from the runtime seed
   /// (a closed system: every legitimate sender/receiver pair shares it).
-  std::string pair_key(NodeId from, NodeId to) const {
-    return "link:" + std::to_string(options_.seed) + ":" +
-           std::to_string(from) + ">" + std::to_string(to);
+  static std::string pair_key(std::uint64_t seed, NodeId from, NodeId to) {
+    return "link:" + std::to_string(seed) + ":" + std::to_string(from) + ">" +
+           std::to_string(to);
+  }
+
+  /// The pair's link key with its HMAC midstates, from a direct-mapped
+  /// cache private to the calling thread, indexed by the pair and tagged
+  /// with the full (seed, from, to).  The key is a pure function of that
+  /// triple, so a hit is exact whichever runtime or node loop filled the
+  /// slot, and the per-frame path takes no lock and touches no shared
+  /// atomic.  A collision (or another runtime's seed on the same pair) only
+  /// costs re-deriving the key.  The reference is valid until this
+  /// thread's next link_key call.
+  const crypto::HmacKey& link_key(NodeId from, NodeId to) const {
+    struct Slot {
+      std::uint64_t seed = 0;
+      NodeId from = 0;
+      NodeId to = 0;
+      std::optional<crypto::HmacKey> key;
+    };
+    constexpr std::size_t kSlots = 256;  // the top 8 bits of a Fibonacci hash
+    thread_local std::unique_ptr<std::array<Slot, kSlots>> cache;
+    if (!cache) cache = std::make_unique<std::array<Slot, kSlots>>();
+    const std::uint64_t pair =
+        (static_cast<std::uint64_t>(from) << 32) | static_cast<std::uint64_t>(to);
+    Slot& slot = (*cache)[(pair * 0x9E3779B97F4A7C15ull) >> 56];
+    if (!slot.key || slot.seed != options_.seed || slot.from != from ||
+        slot.to != to) {
+      slot.seed = options_.seed;
+      slot.from = from;
+      slot.to = to;
+      slot.key.emplace(pair_key(options_.seed, from, to));
+    }
+    return *slot.key;
   }
 
   static void put_varint(Bytes& out, std::uint64_t v) {
@@ -467,10 +500,8 @@ class AsyncRuntime final : public Transport<Msg> {
       put_varint(out, f->size());
       out.insert(out.end(), f->begin(), f->end());
     }
-    const crypto::Digest tag = crypto::hmac_sha256(
-        pair_key(from, to),
-        std::string_view(reinterpret_cast<const char*>(out.data()),
-                         out.size()));
+    const crypto::Digest tag = link_key(from, to).sign(std::string_view(
+        reinterpret_cast<const char*>(out.data()), out.size()));
     out.insert(out.end(), tag.begin(), tag.end());
     macs_computed_.fetch_add(1, std::memory_order_relaxed);
     bundled_frames_.fetch_add(frames.size(), std::memory_order_relaxed);
@@ -728,10 +759,10 @@ class AsyncRuntime final : public Transport<Msg> {
     crypto::Digest tag{};
     std::copy(b.begin() + static_cast<std::ptrdiff_t>(body), b.end(),
               tag.begin());
-    if (!crypto::hmac_verify(
-            pair_key(frame.from, self),
-            std::string_view(reinterpret_cast<const char*>(b.data()), body),
-            tag)) {
+    if (!link_key(frame.from, self)
+             .verify(std::string_view(reinterpret_cast<const char*>(b.data()),
+                                      body),
+                     tag)) {
       auth_failures_.fetch_add(1, std::memory_order_relaxed);
       return;
     }

@@ -1,10 +1,11 @@
 #include "tolerance/crypto/hmac.hpp"
 
+#include <algorithm>
 #include <array>
 
 namespace tolerance::crypto {
 
-Digest hmac_sha256(std::string_view key, std::string_view message) {
+HmacKey::HmacKey(std::string_view key) {
   constexpr std::size_t kBlock = 64;
   std::array<std::uint8_t, kBlock> k{};
   if (key.size() > kBlock) {
@@ -18,19 +19,26 @@ Digest hmac_sha256(std::string_view key, std::string_view message) {
     ipad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
     opad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
   }
-  Sha256 inner;
-  inner.update(ipad.data(), ipad.size());
+  inner_.update(ipad.data(), ipad.size());
+  outer_.update(opad.data(), opad.size());
+}
+
+Digest HmacKey::sign(std::string_view message) const {
+  Sha256 inner = inner_;
   inner.update(message);
   const Digest inner_digest = inner.finalize();
-  Sha256 outer;
-  outer.update(opad.data(), opad.size());
+  Sha256 outer = outer_;
   outer.update(inner_digest.data(), inner_digest.size());
   return outer.finalize();
 }
 
+Digest hmac_sha256(std::string_view key, std::string_view message) {
+  return HmacKey(key).sign(message);
+}
+
 bool hmac_verify(std::string_view key, std::string_view message,
                  const Digest& tag) {
-  return digest_equal(hmac_sha256(key, message), tag);
+  return HmacKey(key).verify(message, tag);
 }
 
 }  // namespace tolerance::crypto

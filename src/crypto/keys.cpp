@@ -17,21 +17,21 @@ std::string KeyRegistry::register_principal(PrincipalId id,
   // what makes a crash-restart's re-registration safe in the wall-clock
   // lane, where other nodes' event loops read this entry concurrently —
   // an identical re-assignment would still be a data race.
-  const auto it = secrets_.find(id);
-  if (it != secrets_.end() && it->second == secret) return secret;
-  secrets_[id] = secret;
+  const auto it = keys_.find(id);
+  if (it != keys_.end() && it->second.seed == seed) return secret;
+  keys_.insert_or_assign(id, Entry{seed, HmacKey(secret)});
   return secret;
 }
 
 bool KeyRegistry::known(PrincipalId id) const {
-  return secrets_.find(id) != secrets_.end();
+  return keys_.find(id) != keys_.end();
 }
 
 bool KeyRegistry::verify(std::string_view message,
                          const Signature& sig) const {
-  const auto it = secrets_.find(sig.signer);
-  if (it == secrets_.end()) return false;
-  return hmac_verify(it->second, message, sig.tag);
+  const auto it = keys_.find(sig.signer);
+  if (it == keys_.end()) return false;
+  return it->second.key.verify(message, sig.tag);
 }
 
 }  // namespace tolerance::crypto

@@ -1,17 +1,34 @@
 #include "tolerance/crypto/usig.hpp"
 
-#include <sstream>
+#include <charconv>
 
 namespace tolerance::crypto {
+namespace {
+
+void append_decimal(std::string& out, std::uint64_t v) {
+  char buf[20];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, res.ptr);
+}
+
+}  // namespace
 
 std::string Usig::certificate_payload(PrincipalId replica,
                                       std::uint64_t epoch,
                                       std::uint64_t counter,
                                       const Digest& digest) {
-  std::ostringstream os;
-  os << "usig|" << replica << '|' << epoch << '|' << counter << '|'
-     << to_hex(digest);
-  return os.str();
+  std::string out;
+  // "usig|" + three decimals (at most 10 + 20 + 20 digits) + 3 '|' + 64 hex.
+  out.reserve(5 + 50 + 3 + 2 * digest.size());
+  out.append("usig|");
+  append_decimal(out, replica);
+  out.push_back('|');
+  append_decimal(out, epoch);
+  out.push_back('|');
+  append_decimal(out, counter);
+  out.push_back('|');
+  append_hex(out, digest);
+  return out;
 }
 
 UniqueIdentifier Usig::create(const Digest& message_digest) {
@@ -22,8 +39,7 @@ UniqueIdentifier Usig::create(const Digest& message_digest) {
   ui.replica = replica_;
   ui.epoch = epoch_;
   ui.counter = counter_;
-  ui.certificate = hmac_sha256(
-      secret_,
+  ui.certificate = key_.sign(
       certificate_payload(replica_, epoch_, counter_, message_digest));
   return ui;
 }

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -14,6 +15,7 @@
 
 #include "tolerance/consensus/minbft_runtime.hpp"
 #include "tolerance/consensus/minbft_workload.hpp"
+#include "tolerance/crypto/hmac.hpp"
 #include "tolerance/net/async_runtime.hpp"
 #include "tolerance/net/profiles.hpp"
 #include "tolerance/net/wire.hpp"
@@ -584,6 +586,102 @@ TEST(AuthBatching, ForgedOrMalformedBundlesAreRejectedWithoutDelivery) {
   EXPECT_EQ(got.load(), 1);
   EXPECT_EQ(rt.auth_failures(), 1u);
   EXPECT_GE(rt.decode_errors(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// LinkKeyCache: link keys come from a per-thread cache of HmacKey midstates
+// ---------------------------------------------------------------------------
+
+/// A one-frame bundle for `msg`, tagged under the link key string
+/// "link:<seed>:<from>><to>" — the derivation every runtime must keep.
+net::wire::Bytes hand_tagged_bundle(std::uint64_t seed, net::NodeId from,
+                                    net::NodeId to, const std::string& msg) {
+  const auto payload = StringCodec::encode(msg);
+  net::wire::Bytes bundle;
+  put_varint(bundle, 1);
+  put_varint(bundle, payload.size());
+  bundle.insert(bundle.end(), payload.begin(), payload.end());
+  const std::string key = "link:" + std::to_string(seed) + ":" +
+                          std::to_string(from) + ">" + std::to_string(to);
+  const crypto::Digest tag = crypto::hmac_sha256(
+      key, std::string_view(reinterpret_cast<const char*>(bundle.data()),
+                            bundle.size()));
+  bundle.insert(bundle.end(), tag.begin(), tag.end());
+  return bundle;
+}
+
+TEST(LinkKeyCache, KeysArePureFunctionsOfSeedAndDirectedPair) {
+  // Two runtimes with different seeds share a one-worker pool, so one
+  // thread's cache holds keys for both, in the same slot for the same pair.
+  // A bundle tagged under (seed, from, to) authenticates only in the
+  // runtime with that seed and only on that directed pair.
+  util::ThreadPool pool(1);
+  StringRuntime::Options o1 = instant_options();
+  o1.seed = 11;
+  StringRuntime::Options o2 = instant_options();
+  o2.seed = 12;
+  StringRuntime rt1(pool, o1);
+  StringRuntime rt2(pool, o2);
+  std::atomic<int> got1{0}, got2{0};
+  for (net::NodeId id : {1u, 2u}) {
+    rt1.register_host(id, [&](net::NodeId, const std::string&) { ++got1; });
+    rt2.register_host(id, [&](net::NodeId, const std::string&) { ++got2; });
+  }
+  // Warm both caches through the real sender path first.
+  rt1.send(1, 2, "warm");
+  rt2.send(1, 2, "warm");
+  ASSERT_TRUE(eventually([&]() { return got1 == 1 && got2 == 1; }));
+
+  rt1.inject_frame(1, 2, hand_tagged_bundle(11, 1, 2, "ok"));
+  ASSERT_TRUE(eventually([&]() { return got1 == 2; }));
+  rt2.inject_frame(1, 2, hand_tagged_bundle(11, 1, 2, "wrong seed"));
+  rt1.inject_frame(1, 2, hand_tagged_bundle(11, 2, 1, "wrong direction"));
+  rt2.inject_frame(2, 1, hand_tagged_bundle(12, 2, 1, "ok"));
+  ASSERT_TRUE(eventually([&]() {
+    return got2 == 2 && rt1.auth_failures() == 1 && rt2.auth_failures() == 1;
+  }));
+  rt1.stop();
+  rt2.stop();
+  EXPECT_EQ(got1.load(), 2);
+  EXPECT_EQ(got2.load(), 2);
+  EXPECT_EQ(rt1.decode_errors() + rt2.decode_errors(), 0u);
+}
+
+TEST(LinkKeyCache, ManyPairsAuthenticateAcrossRuntimesUnderEviction) {
+  // More directed pairs than the cache has slots, from two runtimes with
+  // different seeds on the same threads: slots are evicted and refilled
+  // concurrently, and every bundle must still authenticate.
+  util::ThreadPool pool(4);
+  constexpr net::NodeId kNodes = 24;  // 24 * 23 = 552 directed pairs each
+  std::vector<std::unique_ptr<StringRuntime>> runtimes;
+  std::atomic<int> got{0};
+  for (std::uint64_t seed : {21u, 22u}) {
+    StringRuntime::Options o = instant_options();
+    o.seed = seed;
+    runtimes.push_back(std::make_unique<StringRuntime>(pool, o));
+    for (net::NodeId id = 0; id < kNodes; ++id) {
+      runtimes.back()->register_host(
+          id, [&](net::NodeId, const std::string&) { ++got; });
+    }
+  }
+  int sent = 0;
+  for (int round = 0; round < 2; ++round) {
+    for (auto& rt : runtimes) {
+      for (net::NodeId from = 0; from < kNodes; ++from) {
+        for (net::NodeId to = 0; to < kNodes; ++to) {
+          if (from == to) continue;
+          rt->send(from, to, "m");
+          ++sent;
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(eventually([&]() { return got.load() == sent; }));
+  for (auto& rt : runtimes) {
+    rt->stop();
+    EXPECT_EQ(rt->auth_failures(), 0u);
+    EXPECT_EQ(rt->decode_errors(), 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
