@@ -23,7 +23,7 @@ int main() {
     const auto sol = solvers::solve_replication_lp(cmdp);
     const double cold_seconds = clock.elapsed_seconds();
     clock.reset();
-    const auto resolve = solvers::solve_replication_lp(cmdp, {}, &sol.basis);
+    const auto resolve = solvers::solve_replication_lp(cmdp, &sol.basis);
     const double warm_seconds = clock.elapsed_seconds();
     const bool ok = sol.status == lp::LpStatus::Optimal &&
                     resolve.status == lp::LpStatus::Optimal;

@@ -31,8 +31,9 @@ struct CmdpSolution {
   std::vector<double> add_probability;
   double average_cost = 0.0;    ///< E[s] under the stationary distribution
   double availability = 0.0;    ///< P[s >= f+1] under the stationary distribution
+  double epsilon_a = 0.0;       ///< availability target (14e) of the solve
   long lp_iterations = 0;
-  /// Fill of the final eta-file reinversion (see LpSolution::eta_nnz).
+  /// Fill of the final basis factorization (see LpSolution::eta_nnz).
   std::size_t lp_eta_nnz = 0;
   /// Optimal LP basis — feed back into solve_replication_lp to warm start
   /// the next solve (an epsilon_A sweep, a re-estimated kernel, the
@@ -61,12 +62,21 @@ struct CmdpSolution {
 
   /// Poison guard for the asynchronous publish path (core/policy_buffer.hpp):
   /// true iff the solve converged (Optimal), the policy table is non-empty,
-  /// and every entry is a finite probability in [0, 1], with a finite
-  /// average cost.  A background re-solve that comes back infeasible,
-  /// unbounded or NaN-laden must be rejected by the controller, never
-  /// flipped into the live table the decision path reads.
+  /// every entry is a finite probability in [0, 1], the average cost is
+  /// finite, the availability meets epsilon_a (to 1e-6), and at most one
+  /// state is randomized (the Thm. 2 mixture of two thresholds).  A
+  /// background re-solve that comes back infeasible, unbounded, NaN-laden
+  /// or "optimal" yet off the constraint must be rejected by the
+  /// controller, never flipped into the live table the decision path reads.
   bool valid_policy() const;
 };
+
+/// The occupancy-measure LP (14) of `cmdp`, exactly as solve_replication_lp
+/// hands it to the simplex.  Variables: rho(s, a) at index 2*s + a, plus one
+/// floor aggregate at index 2 * num_states (see cmdp_lp.cpp).  Rows: the
+/// normalization (14c), one flow-balance row (14d) per state, the
+/// availability row (14e), and the aggregate's defining row.
+lp::LinearProgram build_replication_lp(const pomdp::SystemCmdp& cmdp);
 
 /// Solve Prob. 2 exactly (Algorithm 2).
 ///
@@ -76,9 +86,7 @@ struct CmdpSolution {
 /// start from the always-add policy: the stationary support of a
 /// deterministic policy is a known feasible vertex of the occupancy
 /// polytope, so the solve usually skips simplex phase 1 outright.
-CmdpSolution solve_replication_lp(
-    const pomdp::SystemCmdp& cmdp,
-    lp::SimplexSolver::Options lp_options = {},
-    const lp::SimplexBasis* warm = nullptr);
+CmdpSolution solve_replication_lp(const pomdp::SystemCmdp& cmdp,
+                                  const lp::SimplexBasis* warm = nullptr);
 
 }  // namespace tolerance::solvers

@@ -10,10 +10,9 @@
 // pruned sets is computed directly by merging their hull breakpoints —
 // min over independent choices distributes over the pointwise sum, so
 // env(A (+) B) = env(A) + env(B) — instead of enumerating |A|*|B| sums and
-// re-pruning (the backup hot path; see IpOptions::reference_backup for the
-// pre-merge implementation kept for differential benchmarks).  Crashes are
-// handled through the full 3-state kernel (2): a crashed node yields no
-// future cost (it is evicted and replaced — its value is 0).
+// re-pruning.  Crashes are handled through the full 3-state kernel (2): a
+// crashed node yields no future cost (it is evicted and replaced — its
+// value is 0).
 //
 // Used as the "optimal" reference in Table 2 and to draw Figs. 4 and 15.
 #pragma once
@@ -50,16 +49,6 @@ pomdp::NodeAction envelope_action(const std::vector<AlphaVector>& alphas,
 std::vector<AlphaVector> prune(std::vector<AlphaVector> alphas,
                                double eps = 1e-12, int max_alpha = 64);
 
-/// LP-domination pruning (Lark's algorithm): keep an alpha vector iff a
-/// linear program run against all the others finds a belief where it is
-/// strictly below their envelope.  Exact like the hull sweep in prune() —
-/// this is the classic formulation, wired to the sparse revised simplex and
-/// kept as a cross-check mode (IpOptions::lp_prune_crosscheck and the
-/// solver test suite assert it agrees with the sweep).  O(n) LP solves; not
-/// a hot path.  No bounded-error cap is applied.
-std::vector<AlphaVector> prune_lp(std::vector<AlphaVector> alphas,
-                                  double eps = 1e-9);
-
 /// Tuning knobs of the IP solver; the defaults reproduce the paper runs.
 struct IpOptions {
   /// Bounded-error cap on every pruned set (was a hard-coded constant).
@@ -69,12 +58,6 @@ struct IpOptions {
   /// bit-identical at any thread count: per-action sets are merged in
   /// action order.
   int threads = 1;
-  /// Use the pre-merge cross-sum backup (enumerate + prune): the dense
-  /// reference path for regression tests and the Fig. 8 speedup bench.
-  bool reference_backup = false;
-  /// Prune with prune_lp() instead of the hull sweep inside the backups
-  /// (implies the reference enumeration path; slow — cross-check only).
-  bool lp_prune_crosscheck = false;
 };
 
 class IncrementalPruning {

@@ -156,7 +156,7 @@ ScenarioResult ScenarioRunner::run(std::uint64_t seed) const {
     async = std::make_unique<core::AsyncCmdpController>(
         *replication_,
         [cmdp = *cmdp_](const lp::SimplexBasis* warm) {
-          return solvers::solve_replication_lp(cmdp, {}, warm);
+          return solvers::solve_replication_lp(cmdp, warm);
         },
         acfg, seed ^ 0x51a1eULL);
     system.attach_async(async.get());

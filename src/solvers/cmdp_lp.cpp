@@ -9,6 +9,8 @@ namespace tolerance::solvers {
 namespace {
 
 constexpr double kRandomizedEps = 1e-6;
+// Slack on the availability constraint (14e) when judging a solution.
+constexpr double kAvailabilityTol = 1e-6;
 
 }  // namespace
 
@@ -33,15 +35,15 @@ bool CmdpSolution::valid_policy() const {
   if (status != lp::LpStatus::Optimal) return false;
   if (add_probability.empty()) return false;
   if (!std::isfinite(average_cost)) return false;
+  if (!(availability >= epsilon_a - kAvailabilityTol)) return false;
+  if (num_randomized_states > 1) return false;
   for (const double p : add_probability) {
     if (!std::isfinite(p) || p < 0.0 || p > 1.0) return false;
   }
   return true;
 }
 
-CmdpSolution solve_replication_lp(const pomdp::SystemCmdp& cmdp,
-                                  lp::SimplexSolver::Options lp_options,
-                                  const lp::SimplexBasis* warm) {
+lp::LinearProgram build_replication_lp(const pomdp::SystemCmdp& cmdp) {
   const int n = cmdp.num_states();
   // Variable layout: rho(s, a) at index 2*s + a, plus one aggregate z at
   // index 2n (see below).
@@ -128,8 +130,14 @@ CmdpSolution solve_replication_lp(const pomdp::SystemCmdp& cmdp,
     terms.push_back({z_var, -1.0});
     program.add_constraint(std::move(terms), lp::Relation::Eq, 0.0);
   }
+  return program;
+}
 
-  const lp::SimplexSolver solver(lp_options);
+CmdpSolution solve_replication_lp(const pomdp::SystemCmdp& cmdp,
+                                  const lp::SimplexBasis* warm) {
+  const int n = cmdp.num_states();
+  const int z_var = 2 * n;
+  const lp::LinearProgram program = build_replication_lp(cmdp);
   // Starting basis: the caller's warm basis if given, else a policy crash
   // basis — the occupancy columns rho(s, 1) of the always-add policy (one
   // per state), the availability surplus, and a zero artificial parking the
@@ -137,7 +145,7 @@ CmdpSolution solve_replication_lp(const pomdp::SystemCmdp& cmdp,
   // one).  If the crash turns out infeasible or singular the solver falls
   // back to a from-scratch phase 1 on its own.
   lp::SimplexBasis crash;
-  if (warm == nullptr && !lp_options.dense_fallback) {
+  if (warm == nullptr) {
     crash.basic.reserve(static_cast<std::size_t>(n + 3));
     for (int s = 0; s < n; ++s) crash.basic.push_back(2 * s + 1);
     crash.basic.push_back(z_var);               // floor aggregate
@@ -146,10 +154,10 @@ CmdpSolution solve_replication_lp(const pomdp::SystemCmdp& cmdp,
     crash.basic.push_back(num_vars + (n + 1));  // availability surplus
     warm = &crash;
   }
-  const lp::LpSolution lp_solution =
-      warm != nullptr ? solver.solve(program, *warm) : solver.solve(program);
+  const lp::LpSolution lp_solution = lp::SimplexSolver().solve(program, *warm);
 
   CmdpSolution out;
+  out.epsilon_a = cmdp.epsilon_a();
   out.status = lp_solution.status;
   out.lp_iterations = lp_solution.iterations;
   out.lp_eta_nnz = lp_solution.eta_nnz;

@@ -5,7 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "tolerance/lp/simplex.hpp"
 #include "tolerance/util/ensure.hpp"
 #include "tolerance/util/parallel.hpp"
 
@@ -187,7 +186,7 @@ void project(const NodeModel& model, const ObservationModel& obs,
 
 constexpr double kPruneEps = 1e-12;
 
-/// One action's backup via breakpoint-merge cross-sums (the fast path).
+/// One action's backup via breakpoint-merge cross-sums.
 void backup_action(const NodeModel& model, const ObservationModel& obs,
                    const std::vector<AlphaVector>& next, NodeAction a,
                    double discount, const IpOptions& opt,
@@ -208,46 +207,6 @@ void backup_action(const NodeModel& model, const ObservationModel& obs,
   result = ws.acc.lines;
 }
 
-/// One action's backup via the pre-overhaul enumeration path (kept as the
-/// reference for the regression suite and the Fig. 8 speedup bench); with
-/// opt.lp_prune_crosscheck the pruning runs through prune_lp instead of the
-/// hull sweep.
-void backup_action_reference(const NodeModel& model,
-                             const ObservationModel& obs,
-                             const std::vector<AlphaVector>& next,
-                             NodeAction a, double discount,
-                             const IpOptions& opt,
-                             std::vector<AlphaVector>& result) {
-  const auto prune_via = [&](std::vector<AlphaVector> v) {
-    return opt.lp_prune_crosscheck
-               ? prune_lp(std::move(v))
-               : prune(std::move(v), kPruneEps, opt.max_alpha);
-  };
-  const int num_obs = obs.num_observations();
-  std::vector<std::vector<AlphaVector>> gamma(
-      static_cast<std::size_t>(num_obs));
-  for (int o = 0; o < num_obs; ++o) {
-    auto& set = gamma[static_cast<std::size_t>(o)];
-    project(model, obs, next, a, o, discount, set);
-    set = prune_via(std::move(set));
-  }
-  std::vector<AlphaVector> acc{{model.cost(NodeState::Healthy, a),
-                                model.cost(NodeState::Compromised, a), a}};
-  for (int o = 0; o < num_obs; ++o) {
-    const auto& set = gamma[static_cast<std::size_t>(o)];
-    std::vector<AlphaVector> cross;
-    cross.reserve(acc.size() * set.size());
-    for (const AlphaVector& u : acc) {
-      for (const AlphaVector& v : set) {
-        cross.push_back(
-            {u.v_healthy + v.v_healthy, u.v_compromised + v.v_compromised, a});
-      }
-    }
-    acc = prune_via(std::move(cross));
-  }
-  result = std::move(acc);
-}
-
 /// One DP backup over the allowed actions.  Per-action backups run on the
 /// shared worker pool; the merge concatenates in action order, so results
 /// are bit-identical at any thread count.
@@ -262,13 +221,8 @@ std::vector<AlphaVector> backup(const NodeModel& model,
   slots.resize(actions.size());
   const auto run_one = [&](std::int64_t i) {
     const auto idx = static_cast<std::size_t>(i);
-    if (opt.reference_backup || opt.lp_prune_crosscheck) {
-      backup_action_reference(model, obs, next, actions[idx], discount, opt,
-                              slots[idx]);
-    } else {
-      backup_action(model, obs, next, actions[idx], discount, opt,
-                    workspaces[idx], slots[idx]);
-    }
+    backup_action(model, obs, next, actions[idx], discount, opt,
+                  workspaces[idx], slots[idx]);
   };
   if (actions.size() > 1 && util::resolve_threads(opt.threads) > 1) {
     util::ParallelRunner(opt.threads)
@@ -280,7 +234,6 @@ std::vector<AlphaVector> backup(const NodeModel& model,
   }
   std::vector<AlphaVector> out;
   for (const auto& slot : slots) out.insert(out.end(), slot.begin(), slot.end());
-  if (opt.lp_prune_crosscheck) return prune_lp(std::move(out));
   return prune(std::move(out), kPruneEps, opt.max_alpha);
 }
 
@@ -317,39 +270,6 @@ std::vector<AlphaVector> prune(std::vector<AlphaVector> alphas, double eps,
   std::vector<AlphaVector> kept;
   cap_hull(hull, max_alpha, eps, kept);
   return std::move(hull.lines);
-}
-
-std::vector<AlphaVector> prune_lp(std::vector<AlphaVector> alphas,
-                                  double eps) {
-  if (alphas.size() <= 1) return alphas;
-  // Same parallel-line dedup as the sweep, so ties cannot keep both copies.
-  sort_dedup(alphas, 1e-12);
-  // Witness LP per candidate i over variables (b, d+, d-):
-  //   maximize d   s.t.  b <= 1,  and for every j != i
-  //   (s_i - s_j) b + d <= h_j - h_i            (d := d+ - d-)
-  // i.e. alpha_i(b) + d <= alpha_j(b).  Keep i iff the optimal witness gap
-  // d* exceeds eps: somewhere on [0, 1] the line sits strictly below every
-  // other, exactly the sweep's survival criterion (lines touching the
-  // envelope at a single point are dropped by both).
-  const lp::SimplexSolver solver;
-  std::vector<AlphaVector> kept;
-  for (std::size_t i = 0; i < alphas.size(); ++i) {
-    lp::LinearProgram witness(3);
-    witness.objective = {0.0, -1.0, 1.0};
-    witness.add_constraint({{0, 1.0}}, lp::Relation::LessEq, 1.0);
-    for (std::size_t j = 0; j < alphas.size(); ++j) {
-      if (j == i) continue;
-      witness.add_constraint(
-          {{0, slope(alphas[i]) - slope(alphas[j])}, {1, 1.0}, {2, -1.0}},
-          lp::Relation::LessEq,
-          alphas[j].v_healthy - alphas[i].v_healthy);
-    }
-    const auto sol = solver.solve(witness);
-    const bool keep =
-        sol.status != lp::LpStatus::Optimal || -sol.objective > eps;
-    if (keep) kept.push_back(alphas[i]);
-  }
-  return kept;
 }
 
 IncrementalPruning::Result IncrementalPruning::solve_cycle(

@@ -206,7 +206,7 @@ TEST(AsyncController, LadderDegradesFreshHoldFallbackAndRecovers) {
   AsyncControllerConfig cfg = fast_config();
   AsyncCmdpController ctrl(
       initial, [](const lp::SimplexBasis* warm) {
-        return solvers::solve_replication_lp(test_cmdp(), {}, warm);
+        return solvers::solve_replication_lp(test_cmdp(), warm);
       },
       cfg, /*seed=*/17);
   EXPECT_EQ(ctrl.mode(), ControllerMode::Fresh);
@@ -276,11 +276,40 @@ TEST(AsyncController, PoisonedSolveIsNeverFlippedIn) {
   EXPECT_EQ(ctrl.mode(), ControllerMode::Fallback);
 }
 
+TEST(AsyncController, OptimalSolveOffTheConstraintIsNeverFlippedIn) {
+  // An Optimal status is not enough: a table whose availability misses the
+  // epsilon_A it was solved for, or that randomizes in more than one state
+  // (not a Thm. 2 mixture of two thresholds), must be rejected too.
+  const CmdpSolution initial = solved();
+  ASSERT_GT(initial.epsilon_a, 0.0);
+  std::atomic<int> solves{0};
+  AsyncCmdpController ctrl(
+      initial, [&solves](const lp::SimplexBasis*) {
+        CmdpSolution s = solved();
+        if (solves.fetch_add(1, std::memory_order_relaxed) % 2 == 0) {
+          s.availability = s.epsilon_a - 1e-3;
+        } else {
+          s.num_randomized_states = 2;
+        }
+        EXPECT_EQ(s.status, lp::LpStatus::Optimal);
+        return s;
+      },
+      fast_config(), /*seed=*/17);
+  for (long t = 1; t <= 40; ++t) {
+    ctrl.begin_cycle(t);
+    EXPECT_EQ(ctrl.policy_at(2).epoch, 1u) << "cycle " << t;
+  }
+  const AsyncControllerStats stats = ctrl.stats();
+  EXPECT_EQ(stats.resolves, 0);
+  EXPECT_GT(stats.rejected, 2);
+  EXPECT_EQ(stats.rejected, solves.load());
+}
+
 TEST(AsyncController, CrashDiscardsInFlightSolveAndRecoversAfterRestart) {
   const CmdpSolution initial = solved();
   AsyncCmdpController ctrl(
       initial, [](const lp::SimplexBasis* warm) {
-        return solvers::solve_replication_lp(test_cmdp(), {}, warm);
+        return solvers::solve_replication_lp(test_cmdp(), warm);
       },
       fast_config(), /*seed=*/17);
   ctrl.begin_cycle(1);
@@ -315,7 +344,7 @@ TEST(AsyncController, StalledSolverNeverBlocksDecisionPath) {
       [&](const lp::SimplexBasis* warm) {
         std::unique_lock<std::mutex> lock(mu);
         cv.wait(lock, [&] { return release; });
-        return solvers::solve_replication_lp(test_cmdp(), {}, warm);
+        return solvers::solve_replication_lp(test_cmdp(), warm);
       },
       cfg, /*seed=*/17);
   long completed = 0;
@@ -366,7 +395,7 @@ TEST(AsyncControllerWarmStart, BasisIsThreadedThroughConsecutiveResolves) {
         } else {
           cold_calls.fetch_add(1, std::memory_order_relaxed);
         }
-        CmdpSolution s = solvers::solve_replication_lp(test_cmdp(), {}, warm);
+        CmdpSolution s = solvers::solve_replication_lp(test_cmdp(), warm);
         if (warm != nullptr && s.warm_start == lp::WarmStart::None) {
           not_warm_started.fetch_add(1, std::memory_order_relaxed);
         }

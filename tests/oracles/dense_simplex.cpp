@@ -1,19 +1,23 @@
-// SimplexSolver dispatch + the legacy dense two-phase tableau core.
-//
-// The dense core is kept behind Options::dense_fallback for differential
-// testing against the sparse revised simplex (revised_simplex.cpp).  It
-// exports its optimal basis in the same shape-stable encoding, so a dense
-// solve can seed a warm-started revised solve.
-#include "tolerance/lp/simplex.hpp"
-
+// Dense two-phase tableau simplex: the differential reference for the
+// library's sparse revised simplex (src/lp/revised_simplex.cpp).
 #include <algorithm>
 #include <cmath>
 #include <limits>
 
+#include "oracles.hpp"
 #include "tolerance/util/ensure.hpp"
 
-namespace tolerance::lp {
+namespace tolerance::oracles {
+
+using lp::LinearProgram;
+using lp::LpSolution;
+using lp::LpStatus;
+using lp::Relation;
+
 namespace {
+
+constexpr long kMaxIterations = 200000;
+constexpr double kEps = 1e-9;  // pivot / feasibility tolerance
 
 // Dense tableau with rows = constraints, plus one cost row.  Column layout:
 // [original vars | slack/surplus | artificials | rhs].
@@ -55,23 +59,11 @@ struct Tableau {
 
 }  // namespace
 
-LpSolution SimplexSolver::solve(const LinearProgram& lp) const {
-  return options_.dense_fallback ? solve_dense(lp)
-                                 : solve_revised(lp, nullptr);
-}
-
-LpSolution SimplexSolver::solve(const LinearProgram& lp,
-                                const SimplexBasis& warm) const {
-  // The dense core has no warm-start path; it silently solves cold.
-  return options_.dense_fallback ? solve_dense(lp)
-                                 : solve_revised(lp, &warm);
-}
-
-LpSolution SimplexSolver::solve_dense(const LinearProgram& lp) const {
+LpSolution dense_simplex(const LinearProgram& lp, long bland_stall_threshold) {
   TOL_ENSURE(lp.num_vars > 0, "LP must have at least one variable");
   TOL_ENSURE(static_cast<int>(lp.objective.size()) == lp.num_vars,
              "objective size mismatch");
-  const double eps = options_.eps;
+  const double eps = kEps;
   const std::size_t m = lp.constraints.size();
   const std::size_t n = static_cast<std::size_t>(lp.num_vars);
 
@@ -151,13 +143,13 @@ LpSolution SimplexSolver::solve_dense(const LinearProgram& lp) const {
   auto run_simplex = [&](std::size_t num_cols_active) -> LpStatus {
     long stall = 0;
     while (true) {
-      if (iterations >= options_.max_iterations) {
+      if (iterations >= kMaxIterations) {
         return LpStatus::IterationLimit;
       }
       const double* cost = tab.row(tab.cost_row());
       // Entering column: Dantzig rule, or Bland's rule when stalling.
       std::size_t enter = num_cols_active;
-      const bool bland = stall > options_.bland_stall_threshold;
+      const bool bland = stall > bland_stall_threshold;
       double best = -eps;
       for (std::size_t c = 0; c < num_cols_active; ++c) {
         if (cost[c] < -eps) {
@@ -278,9 +270,9 @@ LpSolution SimplexSolver::solve_dense(const LinearProgram& lp) const {
   }
   sol.objective = 0.0;
   for (std::size_t c = 0; c < n; ++c) sol.objective += lp.objective[c] * sol.x[c];
-  // Export the basis in the shape-stable encoding shared with the revised
-  // core: structural as-is, slack/surplus -> n + row, artificial -> n + row
-  // for Eq rows (their only auxiliary) or n + 2m... see SimplexBasis.
+  // Export the basis in the shape-stable encoding (see lp::SimplexBasis):
+  // structural as-is, slack/surplus -> n + row, artificial -> n + row for
+  // Eq rows (their only auxiliary) or n + m + row for GreaterEq rows.
   sol.basis.basic.resize(m);
   for (std::size_t r = 0; r < m; ++r) {
     const auto b = static_cast<std::size_t>(tab.basis[r]);
@@ -297,4 +289,4 @@ LpSolution SimplexSolver::solve_dense(const LinearProgram& lp) const {
   return sol;
 }
 
-}  // namespace tolerance::lp
+}  // namespace tolerance::oracles

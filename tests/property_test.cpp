@@ -8,6 +8,7 @@
 #include <tuple>
 #include <vector>
 
+#include "oracles.hpp"
 #include "tolerance/consensus/minbft_cluster.hpp"
 #include "tolerance/core/node_controller.hpp"
 #include "tolerance/core/system_controller.hpp"
@@ -143,10 +144,22 @@ TEST_P(CmdpGrid, SolutionSatisfiesConstraintsAndMixtureStructure) {
   // Crash-heavy regime so additions matter.
   const auto cmdp = pomdp::SystemCmdp::parametric(smax, f, eps_a, 0.88, 0.05);
   const auto sol = solvers::solve_replication_lp(cmdp);
+  // The dense oracle on the same program must reach the same verdict and,
+  // when there is one, the same optimum.
+  const auto dense =
+      oracles::dense_simplex(solvers::build_replication_lp(cmdp));
+  ASSERT_EQ(dense.status, sol.status);
   if (sol.status != lp::LpStatus::Optimal) {
-    // Availability target genuinely unreachable for this (smax, f).
-    GTEST_SKIP() << "infeasible instance";
+    // The availability target is unreachable for this (smax, f): the one
+    // cell of the grid where this happens is (6, 3, 0.99).
+    ASSERT_EQ(sol.status, lp::LpStatus::Infeasible);
+    return;
   }
+  EXPECT_NEAR(dense.objective, sol.average_cost,
+              1e-8 * (1.0 + dense.objective));
+  // The controller's publish guard accepts every optimal solve of the grid.
+  EXPECT_EQ(sol.epsilon_a, eps_a);
+  EXPECT_TRUE(sol.valid_policy());
   // (14c): occupancy sums to one.
   double total = 0.0;
   for (const auto& rho : sol.occupancy) total += rho[0] + rho[1];

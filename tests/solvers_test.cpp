@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "oracles.hpp"
 #include "tolerance/pomdp/assumptions.hpp"
 #include "tolerance/solvers/bayesopt.hpp"
 #include "tolerance/solvers/cem.hpp"
@@ -237,8 +238,8 @@ TEST(Prune, ParallelLinesKeepLowest) {
 }
 
 TEST(Prune, LpDominationAgreesWithHullSweep) {
-  // Cross-check mode: Lark's LP-domination pruning (running on the sparse
-  // revised simplex) must keep exactly the hull sweep's survivors.
+  // Lark's LP-domination pruning (the oracle, running on the sparse revised
+  // simplex) must keep exactly the hull sweep's survivors.
   Rng rng(515);
   for (int trial = 0; trial < 30; ++trial) {
     std::vector<AlphaVector> alphas;
@@ -249,7 +250,7 @@ TEST(Prune, LpDominationAgreesWithHullSweep) {
                                            : NodeAction::Recover});
     }
     const auto sweep = prune(alphas);
-    const auto lark = prune_lp(alphas);
+    const auto lark = oracles::prune_lp(alphas);
     ASSERT_EQ(sweep.size(), lark.size()) << "trial " << trial;
     // Same envelope either way.
     for (int g = 0; g <= 100; ++g) {
@@ -287,14 +288,12 @@ TEST(Prune, MaxAlphaCapIsConfigurable) {
 }
 
 TEST(IncrementalPruning, MergeBackupMatchesReferenceBackup) {
-  // The breakpoint-merge cross-sum must reproduce the pre-overhaul
-  // enumerate-and-prune backup: identical envelopes (the Fig. 4 alpha-set
-  // regression) at every stage of the cycle solve.
+  // The breakpoint-merge cross-sum must reproduce the enumerate-and-prune
+  // oracle: identical envelopes (the Fig. 4 alpha-set regression) at every
+  // stage of the cycle solve.
   const NodeModel model(paper_params());
   const auto obs = pomdp::BetaBinObservationModel::paper_default();
-  IpOptions reference;
-  reference.reference_backup = true;
-  const auto ref = IncrementalPruning::solve_cycle(model, obs, 40, reference);
+  const auto ref = oracles::enumerate_prune_cycle(model, obs, 40);
   const auto fast = IncrementalPruning::solve_cycle(model, obs, 40);
   ASSERT_EQ(ref.value_functions.size(), fast.value_functions.size());
   EXPECT_NEAR(ref.average_cost, fast.average_cost, 1e-12);
@@ -480,7 +479,7 @@ TEST(CmdpLp, WarmStartReusesPreviousBasis) {
   ASSERT_EQ(cold.status, lp::LpStatus::Optimal);
   ASSERT_FALSE(cold.basis.empty());
   // Re-solve the same CMDP from the optimal basis: no pivots needed.
-  const auto warm = solve_replication_lp(cmdp, {}, &cold.basis);
+  const auto warm = solve_replication_lp(cmdp, &cold.basis);
   ASSERT_EQ(warm.status, lp::LpStatus::Optimal);
   EXPECT_NEAR(warm.average_cost, cold.average_cost, 1e-9);
   EXPECT_NEAR(warm.availability, cold.availability, 1e-9);
@@ -488,7 +487,7 @@ TEST(CmdpLp, WarmStartReusesPreviousBasis) {
   EXPECT_NE(warm.warm_start, lp::WarmStart::None);
   // Epsilon_A sweep re-solve from the same basis must equal a cold solve.
   const auto cmdp2 = pomdp::SystemCmdp::parametric(24, 3, 0.93, 0.95, 0.3);
-  const auto swept = solve_replication_lp(cmdp2, {}, &cold.basis);
+  const auto swept = solve_replication_lp(cmdp2, &cold.basis);
   const auto swept_cold = solve_replication_lp(cmdp2);
   ASSERT_EQ(swept.status, lp::LpStatus::Optimal);
   EXPECT_NEAR(swept.average_cost, swept_cold.average_cost, 1e-7);
@@ -496,17 +495,22 @@ TEST(CmdpLp, WarmStartReusesPreviousBasis) {
 }
 
 TEST(CmdpLp, DenseFallbackAgreesWithRevisedCore) {
+  // The dense oracle on the very program solve_replication_lp builds.
   for (const int smax : {8, 13, 24}) {
     const auto cmdp = pomdp::SystemCmdp::parametric(smax, 3, 0.9, 0.95, 0.3);
-    lp::SimplexSolver::Options dense;
-    dense.dense_fallback = true;
-    const auto a = solve_replication_lp(cmdp, dense);
+    const auto a = oracles::dense_simplex(build_replication_lp(cmdp));
     const auto b = solve_replication_lp(cmdp);
     ASSERT_EQ(a.status, lp::LpStatus::Optimal) << "smax=" << smax;
     ASSERT_EQ(b.status, lp::LpStatus::Optimal) << "smax=" << smax;
-    EXPECT_NEAR(a.average_cost, b.average_cost, 1e-8 * (1.0 + a.average_cost))
+    EXPECT_NEAR(a.objective, b.average_cost, 1e-8 * (1.0 + a.objective))
         << "smax=" << smax;
-    EXPECT_NEAR(a.availability, b.availability, 1e-6) << "smax=" << smax;
+    double availability = 0.0;  // rho(s, a) sits at index 2 * s + a
+    for (int s = 0; s < cmdp.num_states(); ++s) {
+      if (!cmdp.available(s)) continue;
+      availability += a.x[static_cast<std::size_t>(2 * s)] +
+                      a.x[static_cast<std::size_t>(2 * s + 1)];
+    }
+    EXPECT_NEAR(availability, b.availability, 1e-6) << "smax=" << smax;
   }
 }
 
