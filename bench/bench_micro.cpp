@@ -163,6 +163,66 @@ void BM_PrepareDigestFresh(benchmark::State& state) {
 }
 BENCHMARK(BM_PrepareDigestFresh)->Arg(1)->Arg(16);
 
+// Per-stage cost of the Prepare handler, each on a fresh message (no digest
+// memo to hit), in the order a follower pays them for one request of a
+// batch: verify the client's request, execute it, build + sign the reply
+// (and the client's verify of it); plus the Commit body digest the handler
+// signs and every peer checks.
+void BM_RequestVerifyFresh(benchmark::State& state) {
+  crypto::KeyRegistry registry;
+  const crypto::Signer client(10000, registry.register_principal(10000, 1));
+  consensus::Request r;
+  r.client = 10000;
+  r.request_id = 123456;
+  r.operation = "w:10000:123456";
+  r.signature = client.sign(r.payload());
+  for (auto _ : state) {
+    r.invalidate_digests();
+    benchmark::DoNotOptimize(r.digest());
+    benchmark::DoNotOptimize(registry.verify(r.payload(), r.signature));
+  }
+}
+BENCHMARK(BM_RequestVerifyFresh);
+
+void BM_ServiceExecute(benchmark::State& state) {
+  consensus::ReplicatedService service;
+  const std::string op = "w:10000:123456";
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service.execute(op));
+  }
+}
+BENCHMARK(BM_ServiceExecute);
+
+void BM_ReplyBuildSignVerify(benchmark::State& state) {
+  crypto::KeyRegistry registry;
+  const crypto::Signer replica(1, registry.register_principal(1, 1));
+  std::uint64_t request_id = 0;
+  for (auto _ : state) {
+    consensus::Reply reply;
+    reply.replica = 1;
+    reply.client = 10000;
+    reply.request_id = ++request_id;
+    reply.result = "ok:1234567";
+    reply.signature = replica.sign(reply.payload());
+    benchmark::DoNotOptimize(registry.verify(reply.payload(), reply.signature));
+  }
+}
+BENCHMARK(BM_ReplyBuildSignVerify);
+
+void BM_CommitDigestFresh(benchmark::State& state) {
+  consensus::Commit c;
+  c.view = 3;
+  c.seq = 41;
+  c.replica = 2;
+  c.batch_digest = crypto::Sha256::hash("batch");
+  c.leader_ui = {1, 0, 41, crypto::Sha256::hash("ui")};
+  for (auto _ : state) {
+    c.invalidate_digests();
+    benchmark::DoNotOptimize(c.body_digest());
+  }
+}
+BENCHMARK(BM_CommitDigestFresh);
+
 void BM_MinBftRequestRound(benchmark::State& state) {
   consensus::MinBftConfig cfg;
   cfg.f = 1;

@@ -13,6 +13,12 @@
 // not on every crypto call.  Mutating a message after its digest was taken
 // requires invalidate_digests(); the only in-tree mutators are the
 // Byzantine fault injections.
+//
+// Signing payloads and digest inputs are '|'-separated decimal/hex fields
+// appended with crypto::append_fields (no stream formatting).  Their bytes
+// are wire-visible, so they are pinned: the MessageBytes suite in
+// consensus_test fixes them to known values and checks every builder
+// against the stream-formatted reference in tests/oracles/message_bytes.cpp.
 #pragma once
 
 #include <cstdint>

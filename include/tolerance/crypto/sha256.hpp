@@ -12,7 +12,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -51,18 +50,13 @@ class Sha256 {
   static Digest hash(std::string_view s);
   static Digest hash(const std::vector<std::uint8_t>& bytes);
 
-  /// Process-wide count of digests computed (finalize() calls).  Lets the
-  /// micro bench put a number on work avoided by memoized message digests.
-  static std::uint64_t invocations() {
-    return invocation_count_.load(std::memory_order_relaxed);
-  }
-  static void reset_invocations() {
-    invocation_count_.store(0, std::memory_order_relaxed);
-  }
+  /// Process-wide count of digests computed (finalize() calls), summed
+  /// over every thread (util::ShardedCounter).  Lets the micro bench and
+  /// perfbench put a number on digest work per request.
+  static std::uint64_t invocations();
+  static void reset_invocations();
 
  private:
-  static std::atomic<std::uint64_t> invocation_count_;
-
   detail::CompressFn compress_;
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;

@@ -67,9 +67,9 @@ std::uint64_t MinBftClient::submit(const std::string& operation,
 }
 
 void MinBftClient::transmit(const Request& request) {
-  for (ReplicaId r : replicas_) {
-    net_->send(id_, r, MinBftMsg{request});
-  }
+  // One wire encoding for all n replicas on the async lane; on the sim lane
+  // the same sends in the same order (a client is never in replicas_).
+  net_->broadcast(id_, replicas_, MinBftMsg{request});
 }
 
 void MinBftClient::cancel(std::uint64_t request_id) {

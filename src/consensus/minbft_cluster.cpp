@@ -1,7 +1,6 @@
 #include "tolerance/consensus/minbft_cluster.hpp"
 
-#include <sstream>
-
+#include "tolerance/crypto/fields.hpp"
 #include "tolerance/util/ensure.hpp"
 
 namespace tolerance::consensus {
@@ -109,10 +108,9 @@ ReplicaId MinBftCluster::join_new_replica() {
   std::vector<ReplicaId> membership = current_membership();
   membership.push_back(id);
   wire_replica(id, membership);
-  std::ostringstream op;
-  op << "join:" << id;
   controller_client_->set_replicas(current_membership());
-  const auto res = submit_and_run(*controller_client_, op.str());
+  const auto res =
+      submit_and_run(*controller_client_, crypto::fields("join:", id));
   TOL_ENSURE(res.has_value(), "join request did not complete");
   replicas_[id]->request_state_transfer();
   net_.run(200000);
@@ -120,10 +118,9 @@ ReplicaId MinBftCluster::join_new_replica() {
 }
 
 void MinBftCluster::evict_replica(ReplicaId id) {
-  std::ostringstream op;
-  op << "evict:" << id;
   controller_client_->set_replicas(current_membership());
-  const auto res = submit_and_run(*controller_client_, op.str());
+  const auto res =
+      submit_and_run(*controller_client_, crypto::fields("evict:", id));
   TOL_ENSURE(res.has_value(), "evict request did not complete");
   net_.unregister_host(id);
   replicas_.erase(id);
@@ -158,9 +155,7 @@ std::optional<ReplicaId> MinBftCluster::try_join_new_replica(
   std::vector<ReplicaId> membership = current_membership();
   membership.push_back(id);
   wire_replica(id, membership);
-  std::ostringstream op;
-  op << "join:" << id;
-  if (!order_with_budget(op.str(), max_events)) {
+  if (!order_with_budget(crypto::fields("join:", id), max_events)) {
     // Roll back the speculative wiring; the id is burned, never reused.
     net_.unregister_host(id);
     replicas_.erase(id);
@@ -172,9 +167,9 @@ std::optional<ReplicaId> MinBftCluster::try_join_new_replica(
 }
 
 bool MinBftCluster::try_evict_replica(ReplicaId id, std::size_t max_events) {
-  std::ostringstream op;
-  op << "evict:" << id;
-  if (!order_with_budget(op.str(), max_events)) return false;
+  if (!order_with_budget(crypto::fields("evict:", id), max_events)) {
+    return false;
+  }
   // No-ops for a ghost id (in the membership but never wired here).
   net_.unregister_host(id);
   replicas_.erase(id);
@@ -188,10 +183,9 @@ void MinBftCluster::finalize_evict(ReplicaId id) {
 
 std::unique_ptr<MinBftReplica> MinBftCluster::evict_and_detach(ReplicaId id) {
   TOL_ENSURE(replicas_.count(id) > 0, "unknown replica id");
-  std::ostringstream op;
-  op << "evict:" << id;
   controller_client_->set_replicas(current_membership());
-  const auto res = submit_and_run(*controller_client_, op.str());
+  const auto res =
+      submit_and_run(*controller_client_, crypto::fields("evict:", id));
   TOL_ENSURE(res.has_value(), "evict request did not complete");
   // Unregister the host so the network never routes into the detached
   // object once the caller destroys it; the detached replica can still

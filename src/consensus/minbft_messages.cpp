@@ -1,44 +1,35 @@
 #include "tolerance/consensus/minbft_messages.hpp"
 
-#include <atomic>
-#include <sstream>
+#include "tolerance/crypto/fields.hpp"
+#include "tolerance/util/sharded_counter.hpp"
 
 namespace tolerance::consensus {
 namespace {
 
-std::string hex(const crypto::Digest& d) { return crypto::to_hex(d); }
-
-std::atomic<std::uint64_t> g_memo_computed{0};
-std::atomic<std::uint64_t> g_memo_saved{0};
+util::ShardedCounter g_memo_computed;
+util::ShardedCounter g_memo_saved;
 
 }  // namespace
 
 DigestMemoStats digest_memo_stats() {
-  return {g_memo_computed.load(std::memory_order_relaxed),
-          g_memo_saved.load(std::memory_order_relaxed)};
+  return {g_memo_computed.value(), g_memo_saved.value()};
 }
 
 void reset_digest_memo_stats() {
-  g_memo_computed.store(0, std::memory_order_relaxed);
-  g_memo_saved.store(0, std::memory_order_relaxed);
+  g_memo_computed.reset();
+  g_memo_saved.reset();
 }
 
 namespace detail {
 
-void DigestMemo::note_computed() {
-  g_memo_computed.fetch_add(1, std::memory_order_relaxed);
-}
+void DigestMemo::note_computed() { g_memo_computed.add(); }
 
-void DigestMemo::note_saved() {
-  g_memo_saved.fetch_add(1, std::memory_order_relaxed);
-}
+void DigestMemo::note_saved() { g_memo_saved.add(); }
 
 }  // namespace detail
 
 std::string Request::payload() const {
-  std::ostringstream os;
-  os << "req|" << client << '|' << request_id << '|' << operation;
-  return os.str();
+  return crypto::fields("req|", client, '|', request_id, '|', operation);
 }
 
 crypto::Digest Request::digest() const {
@@ -49,12 +40,10 @@ crypto::Digest Request::digest() const {
   // a cached verdict for the genuine request vouch for the corrupted copy,
   // and replicas with different cache contents would then disagree.
   return memo_.get([this] {
-    crypto::Sha256 h;
-    h.update(payload());
-    std::ostringstream os;
-    os << "|sig|" << signature.signer << '|' << hex(signature.tag);
-    h.update(os.str());
-    return h.finalize();
+    std::string body = payload();
+    crypto::append_fields(body, "|sig|", signature.signer, '|',
+                          signature.tag);
+    return crypto::Sha256::hash(body);
   });
 }
 
@@ -72,69 +61,58 @@ crypto::Digest Prepare::batch_digest() const {
 
 crypto::Digest Prepare::body_digest() const {
   return body_memo_.get([this] {
-    std::ostringstream os;
-    os << "prepare|" << view << '|' << seq << '|' << requests.size() << '|'
-       << hex(batch_digest());
-    return crypto::Sha256::hash(os.str());
+    return crypto::Sha256::hash(crypto::fields(
+        "prepare|", view, '|', seq, '|', requests.size(), '|',
+        batch_digest()));
   });
 }
 
 crypto::Digest Commit::body_digest() const {
   return body_memo_.get([this] {
-    std::ostringstream os;
-    os << "commit|" << view << '|' << seq << '|' << replica << '|'
-       << hex(batch_digest) << '|' << leader_ui.replica << ':'
-       << leader_ui.counter;
-    return crypto::Sha256::hash(os.str());
+    return crypto::Sha256::hash(crypto::fields(
+        "commit|", view, '|', seq, '|', replica, '|', batch_digest, '|',
+        leader_ui.replica, ':', leader_ui.counter));
   });
 }
 
 std::string Reply::payload() const {
-  std::ostringstream os;
-  os << "reply|" << replica << '|' << client << '|' << request_id << '|'
-     << result << '|' << (speculative ? "spec" : "final");
-  return os.str();
+  return crypto::fields("reply|", replica, '|', client, '|', request_id, '|',
+                        result, '|', speculative ? "spec" : "final");
 }
 
 crypto::Digest Checkpoint::body_digest() const {
   return body_memo_.get([this] {
-    std::ostringstream os;
-    os << "checkpoint|" << replica << '|' << last_executed << '|'
-       << hex(state_digest);
-    return crypto::Sha256::hash(os.str());
+    return crypto::Sha256::hash(crypto::fields(
+        "checkpoint|", replica, '|', last_executed, '|', state_digest));
   });
 }
 
 std::string ReqViewChange::payload() const {
-  std::ostringstream os;
-  os << "reqviewchange|" << replica << '|' << from_view << '|' << to_view;
-  return os.str();
+  return crypto::fields("reqviewchange|", replica, '|', from_view, '|',
+                        to_view);
 }
 
 std::string Overloaded::payload() const {
-  std::ostringstream os;
-  os << "overloaded|" << replica << '|' << client << '|' << request_id << '|'
-     << retry_after_ms << '|' << static_cast<unsigned>(mode);
-  return os.str();
+  return crypto::fields("overloaded|", replica, '|', client, '|', request_id,
+                        '|', retry_after_ms, '|', mode);
 }
 
 std::string StateResponse::payload() const {
-  std::ostringstream os;
-  os << "stateresponse|" << replica << '|' << last_executed << '|'
-     << prefix_ops << '|' << hex(state_digest) << '|' << anchor_seq << '|'
-     << anchor_ops << '|' << hex(anchor_digest);
-  return os.str();
+  return crypto::fields("stateresponse|", replica, '|', last_executed, '|',
+                        prefix_ops, '|', state_digest, '|', anchor_seq, '|',
+                        anchor_ops, '|', anchor_digest);
 }
 
 crypto::Digest ViewChange::body_digest() const {
   return body_memo_.get([this] {
-    std::ostringstream os;
-    os << "viewchange|" << replica << '|' << to_view << '|' << stable_seq
-       << '|' << checkpoint_cert.size() << '|' << prepared.size();
+    std::string body =
+        crypto::fields("viewchange|", replica, '|', to_view, '|', stable_seq,
+                       '|', checkpoint_cert.size(), '|', prepared.size());
     for (const Checkpoint& c : checkpoint_cert) {
-      os << '|' << c.replica << ':' << c.last_executed << ':'
-         << hex(c.state_digest) << ':' << c.ui.replica << ':' << c.ui.epoch
-         << ':' << c.ui.counter << ':' << hex(c.ui.certificate);
+      crypto::append_fields(body, '|', c.replica, ':', c.last_executed, ':',
+                            c.state_digest, ':', c.ui.replica, ':',
+                            c.ui.epoch, ':', c.ui.counter, ':',
+                            c.ui.certificate);
     }
     // Bind every field the view-change reproposal selection keys on — the
     // prepare's view, its leader UI, and (through the batch digest, which
@@ -143,24 +121,24 @@ crypto::Digest ViewChange::body_digest() const {
     // the proof sender's USIG certificate instead of steering honest
     // replicas' assemble_reproposals toward a null batch.
     for (const PreparedProof& p : prepared) {
-      os << '|' << p.prepare.view << ':' << p.prepare.seq << ':'
-         << hex(p.prepare.batch_digest()) << ':' << p.prepare.ui.replica
-         << ':' << p.prepare.ui.epoch << ':' << p.prepare.ui.counter << ':'
-         << hex(p.prepare.ui.certificate);
+      crypto::append_fields(body, '|', p.prepare.view, ':', p.prepare.seq,
+                            ':', p.prepare.batch_digest(), ':',
+                            p.prepare.ui.replica, ':', p.prepare.ui.epoch,
+                            ':', p.prepare.ui.counter, ':',
+                            p.prepare.ui.certificate);
     }
-    return crypto::Sha256::hash(os.str());
+    return crypto::Sha256::hash(body);
   });
 }
 
 crypto::Digest NewView::body_digest() const {
   return body_memo_.get([this] {
-    std::ostringstream os;
-    os << "newview|" << leader << '|' << view << '|' << proofs.size() << '|'
-       << reproposed.size();
+    std::string body = crypto::fields("newview|", leader, '|', view, '|',
+                                      proofs.size(), '|', reproposed.size());
     for (const Prepare& p : reproposed) {
-      os << '|' << p.seq << ':' << hex(p.batch_digest());
+      crypto::append_fields(body, '|', p.seq, ':', p.batch_digest());
     }
-    return crypto::Sha256::hash(os.str());
+    return crypto::Sha256::hash(body);
   });
 }
 

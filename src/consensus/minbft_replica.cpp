@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <sstream>
 
+#include "tolerance/crypto/fields.hpp"
 #include "tolerance/util/ensure.hpp"
 
 namespace tolerance::consensus {
@@ -41,9 +41,7 @@ std::string ReplicatedService::execute(const std::string& operation) {
   h.update(operation);
   digest_ = h.finalize();
   // Result of the paper's web service: reads return state size, writes ack.
-  std::ostringstream os;
-  os << "ok:" << log_.size();
-  return os.str();
+  return crypto::fields("ok:", log_.size());
 }
 
 void ReplicatedService::install(std::vector<std::string> log,

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 #include <thread>
 
+#include "tolerance/crypto/fields.hpp"
 #include "tolerance/util/ensure.hpp"
 
 namespace tolerance::consensus {
@@ -204,10 +204,9 @@ void MinBftRuntimeCluster::submit_next(ClientSlot* slot) {
   // Runs on the client's serial event loop (initial posts and completion
   // handlers both execute there), so slot state needs no lock.
   if (load_stopped_.load(std::memory_order_relaxed)) return;
-  std::ostringstream op;
-  op << "w:" << slot->id << ":" << slot->serial++;
   slot->client->submit(
-      op.str(), [this, slot](std::uint64_t, const std::string&, double lat) {
+      crypto::fields("w:", slot->id, ':', slot->serial++),
+      [this, slot](std::uint64_t, const std::string&, double lat) {
         completed_.fetch_add(1, std::memory_order_relaxed);
         slot->latencies.push_back(lat);
         submit_next(slot);

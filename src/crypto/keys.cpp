@@ -1,6 +1,6 @@
 #include "tolerance/crypto/keys.hpp"
 
-#include <sstream>
+#include "tolerance/crypto/fields.hpp"
 
 namespace tolerance::crypto {
 
@@ -9,9 +9,7 @@ std::string KeyRegistry::register_principal(PrincipalId id,
   // Derive a secret deterministically from (id, seed) through the hash; the
   // attacker model never has access to the registry, so predictability across
   // runs is a feature (reproducible tests), not a weakness.
-  std::ostringstream material;
-  material << "tolerance-key|" << id << '|' << seed;
-  const Digest d = Sha256::hash(material.str());
+  const Digest d = Sha256::hash(fields("tolerance-key|", id, '|', seed));
   std::string secret(reinterpret_cast<const char*>(d.data()), d.size());
   // Same (id, seed) => same key: return without touching the map.  This is
   // what makes a crash-restart's re-registration safe in the wall-clock

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "tolerance/util/sharded_counter.hpp"
+
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
 #define TOLERANCE_SHA_NI 1
 #include <cpuid.h>
@@ -230,10 +232,16 @@ void Sha256::update(std::string_view s) {
   update(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
 }
 
-std::atomic<std::uint64_t> Sha256::invocation_count_{0};
+namespace {
+util::ShardedCounter g_invocations;
+}  // namespace
+
+std::uint64_t Sha256::invocations() { return g_invocations.value(); }
+
+void Sha256::reset_invocations() { g_invocations.reset(); }
 
 Digest Sha256::finalize() {
-  invocation_count_.fetch_add(1, std::memory_order_relaxed);
+  g_invocations.add();
   // Padding in one go: the buffered bytes, 0x80, zeros, and the 64-bit
   // big-endian bit length fill one block, or two when fewer than 9 bytes
   // of the first are free.

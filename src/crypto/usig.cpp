@@ -1,34 +1,14 @@
 #include "tolerance/crypto/usig.hpp"
 
-#include <charconv>
+#include "tolerance/crypto/fields.hpp"
 
 namespace tolerance::crypto {
-namespace {
-
-void append_decimal(std::string& out, std::uint64_t v) {
-  char buf[20];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, res.ptr);
-}
-
-}  // namespace
 
 std::string Usig::certificate_payload(PrincipalId replica,
                                       std::uint64_t epoch,
                                       std::uint64_t counter,
                                       const Digest& digest) {
-  std::string out;
-  // "usig|" + three decimals (at most 10 + 20 + 20 digits) + 3 '|' + 64 hex.
-  out.reserve(5 + 50 + 3 + 2 * digest.size());
-  out.append("usig|");
-  append_decimal(out, replica);
-  out.push_back('|');
-  append_decimal(out, epoch);
-  out.push_back('|');
-  append_decimal(out, counter);
-  out.push_back('|');
-  append_hex(out, digest);
-  return out;
+  return fields("usig|", replica, '|', epoch, '|', counter, '|', digest);
 }
 
 UniqueIdentifier Usig::create(const Digest& message_digest) {

@@ -4,13 +4,17 @@
 #include <functional>
 #include <limits>
 #include <optional>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "message_bytes.hpp"
+
 #include "tolerance/consensus/minbft_cluster.hpp"
 #include "tolerance/consensus/minbft_workload.hpp"
 #include "tolerance/consensus/raft.hpp"
+#include "tolerance/crypto/fields.hpp"
 
 namespace tolerance::consensus {
 namespace {
@@ -859,6 +863,325 @@ TEST(MinBftBatching, BodyDigestsAreMemoizedAndInvalidatable) {
   p.invalidate_digests();
   EXPECT_FALSE(crypto::digest_equal(p.body_digest(), first));
   EXPECT_GT(crypto::Sha256::invocations(), sha_after_first);
+}
+
+// ---------------------------------------------------------------------------
+// MessageBytes: signing payloads and body digests are wire-visible (replicas
+// of different builds must agree on every byte), so they are pinned to the
+// values the stream-formatted builders produced, and checked against those
+// builders (tests/oracles/message_bytes.cpp) over random messages.
+// ---------------------------------------------------------------------------
+
+// Fixed messages with edge-valued fields: 0, 9/10-digit and UINT64_MAX
+// integers, empty and long operations, both reply kinds, a HARD mode.
+constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+
+crypto::Signature pinned_signature(crypto::PrincipalId signer,
+                                   const char* tag) {
+  return {signer, crypto::Sha256::hash(tag)};
+}
+
+Request pinned_request(int which) {
+  Request r;
+  if (which == 0) {
+    r.client = 10000;
+    r.request_id = 42;
+    r.operation = "w:10000:41";
+    r.signature = pinned_signature(10000, "sig0");
+  } else {
+    r.client = 4294967295u;
+    r.request_id = kMax;
+    r.operation = "";
+    r.signature = pinned_signature(0, "sig1");
+  }
+  return r;
+}
+
+Prepare pinned_prepare() {
+  Prepare p;
+  p.view = 999999999;
+  p.seq = 1000000000;
+  p.requests = {pinned_request(0), pinned_request(1)};
+  p.ui = {1, 2, 1000000000, crypto::Sha256::hash("ui")};
+  return p;
+}
+
+Commit pinned_commit() {
+  Commit c;
+  c.view = 7;
+  c.seq = kMax;
+  c.replica = 2;
+  c.batch_digest = crypto::Sha256::hash("batch");
+  c.leader_ui = {1, 0, 999999999, {}};
+  return c;
+}
+
+Reply pinned_reply(bool speculative) {
+  Reply r;
+  r.replica = 0;
+  r.client = 10001;
+  r.request_id = 9;
+  r.result = "ok:1234567890";
+  r.speculative = speculative;
+  return r;
+}
+
+Checkpoint pinned_checkpoint() {
+  Checkpoint c;
+  c.replica = 3;
+  c.last_executed = 10;
+  c.state_digest = crypto::Sha256::hash("state");
+  c.ui = {3, 1, 4, crypto::Sha256::hash("cp-ui")};
+  return c;
+}
+
+ReqViewChange pinned_req_view_change() { return {2, 0, kMax, {}}; }
+
+Overloaded pinned_overloaded() {
+  Overloaded o;
+  o.replica = 1;
+  o.client = 20000;
+  o.request_id = 77;
+  o.retry_after_ms = 250;
+  o.mode = 2;
+  return o;
+}
+
+StateResponse pinned_state_response() {
+  StateResponse s;
+  s.replica = 4;
+  s.last_executed = 123456789;
+  s.prefix_ops = 0;
+  s.state_digest = crypto::Sha256::hash("head");
+  s.anchor_seq = 100;
+  s.anchor_ops = kMax;
+  s.anchor_digest = crypto::Sha256::hash("anchor");
+  return s;
+}
+
+ViewChange pinned_view_change() {
+  ViewChange v;
+  v.replica = 1;
+  v.to_view = 5;
+  v.stable_seq = 10;
+  v.checkpoint_cert = {pinned_checkpoint()};
+  v.prepared = {PreparedProof{pinned_prepare()}};
+  return v;
+}
+
+NewView pinned_new_view() {
+  NewView n;
+  n.leader = 2;
+  n.view = 5;
+  n.proofs = {pinned_view_change()};
+  n.reproposed = {pinned_prepare(), pinned_prepare()};
+  n.reproposed[1].seq = 0;
+  return n;
+}
+
+std::string hex(const crypto::Digest& d) { return crypto::to_hex(d); }
+
+TEST(MessageBytes, PayloadsAndDigestsArePinned) {
+  EXPECT_EQ(pinned_request(0).payload(), "req|10000|42|w:10000:41");
+  EXPECT_EQ(hex(pinned_request(0).digest()),
+            "bb4649ba49ec312c3e445ba70ffbc847700d4ed88ee8faa5522fa56eca0a3a24");
+  EXPECT_EQ(pinned_request(1).payload(),
+            "req|4294967295|18446744073709551615|");
+  EXPECT_EQ(hex(pinned_request(1).digest()),
+            "c9c9feef44603e130e3704411f2bc74e52d396bdb8ac43d2b51d1bfb36f6dc9b");
+  EXPECT_EQ(hex(pinned_prepare().batch_digest()),
+            "90761ee9b9368699aa8d9ee416e8e3ca84ccab76687f7c4f6f174e96a8c8a428");
+  EXPECT_EQ(hex(pinned_prepare().body_digest()),
+            "6a074ab0647994cd09dbe2ce6d00ba40fc46f0ccec4f97c570f1abef39daffef");
+  EXPECT_EQ(hex(pinned_commit().body_digest()),
+            "566e7366b05feed1fba18f0635cfcecf7ede82f9addf17b8f18e8755aeb988e4");
+  EXPECT_EQ(pinned_reply(true).payload(), "reply|0|10001|9|ok:1234567890|spec");
+  EXPECT_EQ(pinned_reply(false).payload(),
+            "reply|0|10001|9|ok:1234567890|final");
+  EXPECT_EQ(hex(pinned_checkpoint().body_digest()),
+            "b0d4bb21115369ce53152cf134646580c5099b4c316c474697ef0e62d80918ba");
+  EXPECT_EQ(pinned_req_view_change().payload(),
+            "reqviewchange|2|0|18446744073709551615");
+  // The mode byte prints as a number, not as the character '\x02'.
+  EXPECT_EQ(pinned_overloaded().payload(), "overloaded|1|20000|77|250|2");
+  EXPECT_EQ(pinned_state_response().payload(),
+            "stateresponse|4|123456789|0|"
+            "9f2e6d33a3717ee826353a404ba4618d1aeeb6879ad7936bce8ed5f46814924d|"
+            "100|18446744073709551615|"
+            "79bfb0e2ba76b9d447606ddbcc494834f05a4c11deb052e74b49ea307a3c5bcd");
+  EXPECT_EQ(hex(pinned_view_change().body_digest()),
+            "4a81fb487d3422632670a18aac34a0998bd02172d04d8a11120ea10f98f31087");
+  EXPECT_EQ(hex(pinned_new_view().body_digest()),
+            "e651304838032da675ac5bb50424cbbcbda860cbd709e06ecb39d53584782f43");
+}
+
+TEST(MessageBytes, KeyMaterialAndServiceResultArePinned) {
+  crypto::KeyRegistry registry;
+  const auto secret_hex = [&](crypto::PrincipalId id, std::uint64_t seed) {
+    const std::string secret = registry.register_principal(id, seed);
+    crypto::Digest d{};
+    std::copy(secret.begin(), secret.end(), d.begin());
+    return hex(d);
+  };
+  EXPECT_EQ(secret_hex(5, 9),
+            "48700584320650d4e13f3d7625198ba740c1183553209f16e9ddbd0e8e01e0d0");
+  EXPECT_EQ(secret_hex(4294967295u, kMax),
+            "9ca16be6da71c56473b38c52b24a5e4065c3456ea44272b5d61464f59032faea");
+  ReplicatedService service;
+  std::string result;
+  for (int i = 0; i < 10; ++i) result = service.execute("op");
+  EXPECT_EQ(result, "ok:10");
+}
+
+// Draws integers that stress decimal formatting: 0, the 9/10-digit and
+// 32/64-bit boundaries, and uniformly random values of every width.
+class FieldDraw {
+ public:
+  explicit FieldDraw(std::uint64_t seed) : rng_(seed) {}
+
+  std::uint64_t u64() {
+    static constexpr std::uint64_t kEdges[] = {
+        0, 1, 9, 10, 999999999, 1000000000, 4294967295u, 4294967296u,
+        9999999999u, kMax - 1, kMax};
+    const std::uint64_t pick = rng_() % 4;
+    if (pick == 0) return kEdges[rng_() % std::size(kEdges)];
+    if (pick == 1) return rng_() >> (rng_() % 64);
+    return rng_() % 100000;
+  }
+  std::uint32_t u32() { return static_cast<std::uint32_t>(u64()); }
+  bool coin() { return (rng_() & 1) != 0; }
+
+  std::string operation() {
+    const std::uint64_t pick = rng_() % 4;
+    if (pick == 0) return "";
+    if (pick == 1) return crypto::fields("w:", u32(), ':', u64());
+    std::string op(pick == 2 ? rng_() % 16 : 64 + rng_() % 400, '\0');
+    for (char& c : op) c = static_cast<char>(rng_() % 256);
+    return op;
+  }
+  crypto::Digest digest() {
+    crypto::Digest d{};
+    for (auto& b : d) b = static_cast<std::uint8_t>(rng_());
+    return d;
+  }
+  crypto::UniqueIdentifier ui() { return {u32(), u64(), u64(), digest()}; }
+
+  Request request() {
+    Request r;
+    r.client = u32();
+    r.request_id = u64();
+    r.operation = operation();
+    r.signature = {u32(), digest()};
+    return r;
+  }
+  Prepare prepare() {
+    Prepare p;
+    p.view = u64();
+    p.seq = u64();
+    p.requests.resize(rng_() % 4);
+    for (Request& r : p.requests) r = request();
+    p.ui = ui();
+    return p;
+  }
+  Checkpoint checkpoint() {
+    Checkpoint c;
+    c.replica = u32();
+    c.last_executed = u64();
+    c.state_digest = digest();
+    c.ui = ui();
+    return c;
+  }
+
+ private:
+  std::mt19937_64 rng_;
+};
+
+TEST(MessageBytes, BuildersMatchTheStreamOracle) {
+  constexpr int kPerKind = 3000;
+  FieldDraw draw(20261019);
+  for (int i = 0; i < kPerKind; ++i) {
+    const Request req = draw.request();
+    ASSERT_EQ(req.payload(), oracles::request_payload(req)) << i;
+    ASSERT_EQ(hex(req.digest()), hex(oracles::request_digest(req))) << i;
+
+    const Prepare prep = draw.prepare();
+    ASSERT_EQ(hex(prep.batch_digest()),
+              hex(oracles::prepare_batch_digest(prep))) << i;
+    ASSERT_EQ(hex(prep.body_digest()), hex(oracles::prepare_body_digest(prep)))
+        << i;
+
+    Commit commit;
+    commit.view = draw.u64();
+    commit.seq = draw.u64();
+    commit.replica = draw.u32();
+    commit.batch_digest = draw.digest();
+    commit.leader_ui = draw.ui();
+    ASSERT_EQ(hex(commit.body_digest()),
+              hex(oracles::commit_body_digest(commit))) << i;
+
+    Reply reply;
+    reply.replica = draw.u32();
+    reply.client = draw.u32();
+    reply.request_id = draw.u64();
+    reply.result = draw.operation();
+    reply.speculative = draw.coin();
+    ASSERT_EQ(reply.payload(), oracles::reply_payload(reply)) << i;
+
+    const Checkpoint cp = draw.checkpoint();
+    ASSERT_EQ(hex(cp.body_digest()), hex(oracles::checkpoint_body_digest(cp)))
+        << i;
+
+    const ReqViewChange rvc{draw.u32(), draw.u64(), draw.u64(), {}};
+    ASSERT_EQ(rvc.payload(), oracles::req_view_change_payload(rvc)) << i;
+
+    Overloaded ov;
+    ov.replica = draw.u32();
+    ov.client = draw.u32();
+    ov.request_id = draw.u64();
+    ov.retry_after_ms = draw.u64();
+    ov.mode = static_cast<std::uint8_t>(draw.u64());  // every byte value
+    ASSERT_EQ(ov.payload(), oracles::overloaded_payload(ov)) << i;
+
+    StateResponse sr;
+    sr.replica = draw.u32();
+    sr.last_executed = draw.u64();
+    sr.prefix_ops = draw.u64();
+    sr.state_digest = draw.digest();
+    sr.anchor_seq = draw.u64();
+    sr.anchor_ops = draw.u64();
+    sr.anchor_digest = draw.digest();
+    ASSERT_EQ(sr.payload(), oracles::state_response_payload(sr)) << i;
+
+    ViewChange vc;
+    vc.replica = draw.u32();
+    vc.to_view = draw.u64();
+    vc.stable_seq = draw.u64();
+    vc.checkpoint_cert.resize(draw.u64() % 3);
+    for (Checkpoint& c : vc.checkpoint_cert) c = draw.checkpoint();
+    vc.prepared.resize(draw.u64() % 3);
+    for (PreparedProof& p : vc.prepared) p.prepare = draw.prepare();
+    ASSERT_EQ(hex(vc.body_digest()), hex(oracles::view_change_body_digest(vc)))
+        << i;
+
+    NewView nv;
+    nv.leader = draw.u32();
+    nv.view = draw.u64();
+    nv.proofs.resize(draw.u64() % 3);
+    nv.reproposed.resize(draw.u64() % 3);
+    for (Prepare& p : nv.reproposed) p = draw.prepare();
+    ASSERT_EQ(hex(nv.body_digest()), hex(oracles::new_view_body_digest(nv)))
+        << i;
+
+    const crypto::PrincipalId id = draw.u32();
+    const std::uint64_t seed = draw.u64();
+    crypto::KeyRegistry registry;
+    ASSERT_EQ(registry.register_principal(id, seed),
+              oracles::principal_secret(id, seed)) << i;
+  }
+  ReplicatedService service;
+  for (std::size_t n = 1; n <= 1000; ++n) {
+    ASSERT_EQ(service.execute("op"), oracles::execute_result(n));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "tolerance/crypto/hmac.hpp"
@@ -271,6 +272,28 @@ TEST(Sha256, InvocationCounterTracksDigestComputations) {
   (void)Sha256::hash("abc");
   (void)Sha256::hash("def");
   EXPECT_EQ(Sha256::invocations(), before + 2);
+}
+
+TEST(Sha256Invocations, CountsEveryThreadExactly) {
+  // The counter is sharded per thread; joined threads' counts must all
+  // arrive, exactly, in the process-wide total that perfbench reads.
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kHashes = 5000;
+  const std::uint64_t before = Sha256::invocations();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t] {
+      for (std::uint64_t i = 0; i < kHashes; ++i) {
+        (void)Sha256::hash(std::to_string(t * kHashes + i));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(Sha256::invocations() - before, kThreads * kHashes);
+  Sha256::reset_invocations();
+  EXPECT_EQ(Sha256::invocations(), 0u);
+  (void)Sha256::hash("after reset");
+  EXPECT_EQ(Sha256::invocations(), 1u);
 }
 
 TEST(Usig, CounterMonotoneUnderRepeatedSigning) {

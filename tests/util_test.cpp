@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "tolerance/util/ensure.hpp"
 #include "tolerance/util/rng.hpp"
+#include "tolerance/util/sharded_counter.hpp"
 #include "tolerance/util/stopwatch.hpp"
 #include "tolerance/util/table.hpp"
 
@@ -146,6 +150,45 @@ TEST(ConsoleTable, RejectsWrongArity) {
 TEST(ConsoleTable, Formatters) {
   EXPECT_EQ(ConsoleTable::num(1.23456, 2), "1.23");
   EXPECT_EQ(ConsoleTable::mean_pm(0.99, 0.01), "0.99 ±0.01");
+}
+
+TEST(ShardedCounter, SumsLiveAndExitedThreadsExactly) {
+  // Slots are claimed for the life of the process, like the library's
+  // namespace-scope counters.
+  static util::ShardedCounter counter;
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kAdds = 20000;
+  counter.add(5);  // the main thread's shard stays live throughout
+  std::atomic<bool> done{false};
+  std::uint64_t last_seen = 0;
+  bool monotone = true;
+  std::thread reader([&] {
+    // Concurrent reads see a growing total and never tear a shard.
+    while (!done.load(std::memory_order_acquire)) {
+      const std::uint64_t v = counter.value();
+      monotone = monotone && v >= last_seen;
+      last_seen = v;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([] {
+      for (std::uint64_t i = 0; i < kAdds; ++i) counter.add();
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_TRUE(monotone);
+  // The writers have exited: their counts live on in the retired totals.
+  EXPECT_EQ(counter.value(), 5 + kThreads * kAdds);
+
+  counter.reset();
+  EXPECT_EQ(counter.value(), 0u);
+  std::thread late([] { counter.add(3); });
+  late.join();
+  counter.add(2);
+  EXPECT_EQ(counter.value(), 5u);
 }
 
 }  // namespace
