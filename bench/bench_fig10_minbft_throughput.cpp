@@ -221,7 +221,7 @@ struct RuntimeRow {
   std::string log_error;  ///< first committed-log invariant violation
 };
 
-/// One data point: a fresh thread pool + AsyncRuntime + cluster, driven
+/// One data point: a fresh AsyncRuntime (with its own loops) + cluster, driven
 /// closed-loop for `duration` wall seconds.
 consensus::RuntimeLoadStats measure_runtime(const net::NetworkProfile& profile,
                                             const consensus::MinBftConfig& cfg,

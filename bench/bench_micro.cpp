@@ -1,12 +1,20 @@
 // Hot-path microbenchmarks (google-benchmark): belief updates, crypto
-// primitives, simplex solves, IP backups, simulator steps, consensus rounds.
+// primitives, simplex solves, IP backups, simulator steps, consensus rounds,
+// wall-clock runtime deliveries.
 #include <benchmark/benchmark.h>
+
+#include <chrono>
+#include <condition_variable>
+#include <ctime>
+#include <mutex>
 
 #include "tolerance/consensus/minbft_cluster.hpp"
 #include "tolerance/crypto/hmac.hpp"
 #include "tolerance/crypto/sha256.hpp"
 #include "tolerance/crypto/usig.hpp"
 #include "tolerance/emulation/testbed.hpp"
+#include "tolerance/net/async_runtime.hpp"
+#include "tolerance/net/wire.hpp"
 #include "tolerance/pomdp/belief.hpp"
 #include "tolerance/solvers/cmdp_lp.hpp"
 #include "tolerance/solvers/incremental_pruning.hpp"
@@ -238,6 +246,80 @@ void BM_MinBftRequestRound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MinBftRequestRound);
+
+struct HopCodec {
+  static net::wire::Bytes encode(const std::uint64_t& hop) {
+    net::wire::Writer w;
+    w.varint(hop);
+    return w.take();
+  }
+  static std::optional<std::uint64_t> decode(const std::uint8_t* data,
+                                             std::size_t len) {
+    net::wire::Reader r(data, len);
+    auto hop = r.varint();
+    if (!hop || !r.done()) return std::nullopt;
+    return hop;
+  }
+};
+
+// One AsyncRuntime dispatch: two hosts on a two-loop runtime bounce a token
+// kHops times, each delivery sending it back, over a link of Arg
+// microseconds delay (0 = the direct path, > 0 = a timer-released frame).
+// One iteration is the whole chain; us_per_frame is its wall time per
+// delivered frame (codec, bundle MAC, shaping, the link delay and the loop
+// hand-off) and cpu_us_per_frame the process CPU per frame.
+void BM_RuntimeDelivery(benchmark::State& state) {
+  using HopRuntime = net::AsyncRuntime<std::uint64_t, HopCodec>;
+  constexpr std::uint64_t kHops = 200;
+  HopRuntime::Options o;
+  o.replica_link.base_delay = static_cast<double>(state.range(0)) * 1e-6;
+  o.replica_link.jitter = 0.0;
+  o.replica_link.loss = 0.0;
+  HopRuntime rt(2, o);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  for (net::NodeId self : {1u, 2u}) {
+    rt.register_host(self, [&, self](net::NodeId from,
+                                     const std::uint64_t& hop) {
+      if (hop + 1 < kHops) {
+        rt.send(self, from, hop + 1);
+        return;
+      }
+      std::lock_guard<std::mutex> lk(mu);
+      done = true;
+      cv.notify_one();
+    });
+  }
+  double wall_seconds = 0.0;
+  double cpu_seconds = 0.0;
+  for (auto _ : state) {
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      done = false;
+    }
+    const std::clock_t cpu0 = std::clock();
+    const auto t0 = std::chrono::steady_clock::now();
+    rt.send(1, 2, 0);
+    {
+      std::unique_lock<std::mutex> lk(mu);
+      cv.wait(lk, [&]() { return done; });
+    }
+    wall_seconds +=
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    cpu_seconds += static_cast<double>(std::clock() - cpu0) / CLOCKS_PER_SEC;
+  }
+  rt.stop();
+  const double frames = static_cast<double>(state.iterations()) * kHops;
+  state.counters["us_per_frame"] = wall_seconds * 1e6 / frames;
+  state.counters["cpu_us_per_frame"] = cpu_seconds * 1e6 / frames;
+}
+BENCHMARK(BM_RuntimeDelivery)
+    ->Arg(0)
+    ->Arg(200)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

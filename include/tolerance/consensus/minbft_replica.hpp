@@ -223,7 +223,6 @@ class MinBftReplica {
   // Batching / caching telemetry (tests and the Fig. 10 sweep).
   std::uint64_t batches_proposed() const { return batches_proposed_; }
   std::uint64_t requests_proposed() const { return requests_proposed_; }
-  std::size_t max_batch_size_proposed() const { return max_batch_; }
   std::size_t pending_request_count() const {
     return pending_requests_.size();
   }
@@ -232,8 +231,6 @@ class MinBftReplica {
 
   // Admission-control telemetry and fault injection (tests, scenarios).
   const AdmissionController& admission() const { return admission_; }
-  std::uint64_t requests_admitted() const { return admission_.admitted(); }
-  std::uint64_t requests_rejected() const { return admission_.rejected(); }
   /// Replace the admission configuration (and reset the controller state).
   /// Scenario fault injection uses this to make one replica advertise fake
   /// HARD pressure: hard_enter = 0 with a zero token budget rejects every
@@ -246,7 +243,6 @@ class MinBftReplica {
   // Speculative-execution telemetry (tests and the runtime bench).
   std::uint64_t spec_executions() const { return spec_executions_; }
   std::uint64_t spec_rollbacks() const { return spec_rollbacks_; }
-  SeqNum last_speculated() const { return last_speculated_; }
   /// The commit-quorum-backed prefix length of service().log(); anything
   /// beyond it is speculative and may still roll back.
   std::size_t committed_log_size() const { return committed_log_size_; }
@@ -600,7 +596,6 @@ class MinBftReplica {
   bool batch_timer_armed_ = false;
   std::uint64_t batches_proposed_ = 0;
   std::uint64_t requests_proposed_ = 0;
-  std::size_t max_batch_ = 0;
 
   // --- verification caches -------------------------------------------------
   crypto::UsigVerifyCache usig_cache_;

@@ -1,8 +1,8 @@
 // Wall-clock MinBFT harness: the same replica/client logic the simulated
 // cluster (minbft_cluster.hpp) drives, wired onto net::AsyncRuntime instead
-// of net::SimNetwork — per-replica event loops on a thread pool, messages
-// serialized through the wire codec, link shaping from a named
-// net::NetworkProfile, and REAL HMAC-SHA256 crypto overlapping real I/O
+// of net::SimNetwork — per-replica event loops on the runtime's own loop
+// threads, messages serialized through the wire codec, link shaping from a
+// named net::NetworkProfile, and REAL HMAC-SHA256 crypto overlapping real I/O
 // (the sim lane's modelled crypto costs are ignored here; the signatures
 // themselves are computed either way and dominate for real).
 //
@@ -15,7 +15,6 @@
 // called once; it quiesces the runtime on return.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -27,7 +26,6 @@
 #include "tolerance/net/async_runtime.hpp"
 #include "tolerance/net/fault_injector.hpp"
 #include "tolerance/net/wire.hpp"
-#include "tolerance/util/thread_pool.hpp"
 
 namespace tolerance::consensus {
 
@@ -83,7 +81,8 @@ struct ChaosOptions {
 
 class MinBftRuntimeCluster {
  public:
-  /// `threads` = 0 sizes the pool to the hardware concurrency (at least 4).
+  /// `threads` loop threads for the runtime; 0 means the hardware
+  /// concurrency (at least 4).
   /// Replica links and client links come from `profile`; if the profile
   /// flaps (flap_interval > 0), run_closed_loop periodically isolates a
   /// rotating minority of replicas for flap_duration seconds.
@@ -166,7 +165,6 @@ class MinBftRuntimeCluster {
   MinBftConfig config_;
   std::uint64_t seed_;
   net::NetworkProfile profile_;
-  util::ThreadPool pool_;
   MinBftRuntime runtime_;
   std::shared_ptr<crypto::KeyRegistry> registry_;
   std::vector<ReplicaId> membership_;

@@ -2,12 +2,12 @@
 //
 // Where net::SimNetwork advances a simulated clock over one global event
 // queue, AsyncRuntime runs every registered node as a serial event loop
-// multiplexed onto a util::ThreadPool: messages are serialized through a
-// wire codec at the sender, shaped by the same LinkConfig knobs (delay,
-// jitter, loss, reorder, partitions) the simulator honors, and decoded into
-// a private copy on the receiver's loop — so real crypto (HMAC-SHA256
-// signatures, USIG certificates) overlaps real I/O across cores, and no
-// C++ object is ever shared between two node loops.
+// multiplexed onto the runtime's own loop threads: messages are serialized
+// through a wire codec at the sender, shaped by the same LinkConfig knobs
+// (delay, jitter, loss, reorder, partitions) the simulator honors, and
+// decoded into a private copy on the receiver's loop — so real crypto
+// (HMAC-SHA256 signatures, USIG certificates) overlaps real I/O across
+// cores, and no C++ object is ever shared between two node loops.
 //
 // Structure per node:
 //  * a bounded inbound frame queue — overflow drops the OLDEST frame
@@ -15,14 +15,20 @@
 //    behind stale backlog) and is accounted per node and globally;
 //  * an unbounded local job queue for timer callbacks and posted closures
 //    (protocol timers must not be lost to backpressure);
-//  * a `draining` flag ensuring at most one pool task dispatches the node
+//  * a `draining` flag ensuring at most one loop thread dispatches the node
 //    at a time — the loop is serial, handlers never race with their own
 //    timers.
 //
-// Timers are monotonic wall-clock (std::chrono::steady_clock), fired by a
-// dedicated timer thread that also releases delay-shaped frames.  Timer ids
-// share SimNetwork's cancellation semantics: cancel is a no-op for dead
-// ids, live-id tracking keeps the cancelled set bounded.
+// Scheduling: one lock guards a timer heap and a queue of ready nodes.  Each
+// loop thread fires due timers, else drains a bounded burst of one ready
+// node, else waits — so the loop that releases a delay-shaped frame drains
+// the receiver itself.  One loop at a time fires, in deadline order (two at
+// once could reorder a FIFO channel); one idle loop waits for the earliest
+// deadline, the others untimed; a ready node wakes a loop only when ready
+// nodes outnumber the loops heading for the queue; a loop starting a job
+// (possibly long) first enlists an idle one to watch the deadlines.  Timer
+// ids share SimNetwork's cancellation semantics (cancel is a no-op for dead
+// ids, the cancelled set stays bounded).
 //
 // Authenticator batching (the wall-clock fast path): every frame travels
 // inside a bundle authenticated by one HMAC-SHA256 tag under a per-directed-
@@ -34,12 +40,12 @@
 // decodes and dispatches each frame in order.  A bundle that fails
 // authentication is dropped whole and counted (auth_failures).
 //
-// Shutdown: stop() fences off new sends and timers, joins the timer
-// thread, then waits for every in-flight node loop to go idle.  The
-// destructor calls stop(), so a scoped runtime never leaks tasks into the
-// pool it borrowed.
+// Shutdown: stop() fences off new sends, posts and timers (each becomes a
+// no-op), lets the loops finish the nodes already queued, and joins them.
+// The destructor calls stop().
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -65,7 +71,6 @@
 #include "tolerance/net/transport.hpp"
 #include "tolerance/util/ensure.hpp"
 #include "tolerance/util/rng.hpp"
-#include "tolerance/util/thread_pool.hpp"
 
 namespace tolerance::net {
 
@@ -102,10 +107,17 @@ class AsyncRuntime final : public Transport<Msg> {
     std::uint64_t seed = 1;  ///< loss/jitter/reorder draws + link keys
   };
 
-  AsyncRuntime(util::ThreadPool& pool, Options options)
-      : pool_(&pool), options_(validated(std::move(options))),
-        rng_(options_.seed), start_(std::chrono::steady_clock::now()),
-        timer_thread_([this]() { timer_loop(); }) {}
+  /// Starts `loop_threads` (>= 1) event-loop threads, joined by stop().
+  AsyncRuntime(int loop_threads, Options options)
+      : options_(std::move(options)), rng_(options_.seed),
+        start_(std::chrono::steady_clock::now()) {
+    TOL_ENSURE(options_.inbound_capacity >= 1,
+               "inbound queue capacity must be positive");
+    TOL_ENSURE(loop_threads >= 1, "the runtime needs at least one loop thread");
+    for (int i = 0; i < loop_threads; ++i) {
+      loops_.emplace_back([this]() { run_loop(); });
+    }
+  }
 
   ~AsyncRuntime() override { stop(); }
 
@@ -128,43 +140,16 @@ class AsyncRuntime final : public Transport<Msg> {
     hosts_[id] = std::move(host);
   }
 
-  void unregister_host(NodeId id) override {
-    std::shared_ptr<Host> host;
-    {
-      std::lock_guard<std::mutex> lk(hosts_mu_);
-      const auto it = hosts_.find(id);
-      if (it == hosts_.end()) return;
-      host = it->second;
-      hosts_.erase(it);
-    }
-    // Clear the handler under the host lock so an in-flight drain observes
-    // the removal and stops dispatching (frames already queued are dropped).
-    std::lock_guard<std::mutex> lk(host->mu);
-    host->handler = nullptr;
-    host->inbox.clear();
-    host->jobs.clear();
-  }
+  void unregister_host(NodeId id) override { remove_host(id); }
 
-  /// unregister_host plus a quiesce wait: returns only once no drain task is
+  /// unregister_host plus a quiesce wait: returns only once no loop is
   /// dispatching into the host, so the caller may destroy the object behind
   /// the (now cleared) handler.  This is the crash path of the chaos lane —
   /// plain unregister_host only guarantees that a drain observes the cleared
   /// handler *before its next dispatch*, not that an in-flight one finished.
   void detach_host(NodeId id) {
-    std::shared_ptr<Host> host;
-    {
-      std::lock_guard<std::mutex> lk(hosts_mu_);
-      const auto it = hosts_.find(id);
-      if (it == hosts_.end()) return;
-      host = it->second;
-      hosts_.erase(it);
-    }
-    {
-      std::lock_guard<std::mutex> lk(host->mu);
-      host->handler = nullptr;
-      host->inbox.clear();
-      host->jobs.clear();
-    }
+    const std::shared_ptr<Host> host = remove_host(id);
+    if (!host) return;
     // An in-flight drain copied the handler before we cleared it and may be
     // mid-dispatch; `draining` stays true until that burst parks on the
     // emptied queues.  Crash-path only, so a short sleep-poll is fine.
@@ -199,26 +184,12 @@ class AsyncRuntime final : public Transport<Msg> {
   std::uint64_t schedule(NodeId owner, double delay,
                          std::function<void()> fn) override {
     TOL_ENSURE(delay >= 0.0, "delay must be non-negative");
-    const auto when = std::chrono::steady_clock::now() +
-                      std::chrono::duration_cast<
-                          std::chrono::steady_clock::duration>(
-                          std::chrono::duration<double>(delay));
-    std::lock_guard<std::mutex> lk(timer_mu_);
-    if (stopping_) return 0;  // cancel(0) is a no-op
-    const std::uint64_t id = next_timer_id_++;
-    live_timers_.insert(id);
-    const bool new_front = timers_.empty() || when < timers_.begin()->first;
-    timers_.emplace(when, TimerEntry{id, owner, /*direct=*/false,
-                                     std::move(fn)});
-    // The timer thread sleeps until the earliest deadline; inserting a
-    // later one does not change its wake-up time, so skip the notify (at
-    // load, most timers are retransmission guards far in the future).
-    if (new_front) timer_cv_.notify_all();
-    return id;
+    return push_timer(Timer{std::chrono::steady_clock::now() + span(delay), 0,
+                            0, 0, owner, nullptr, std::move(fn)});
   }
 
   void cancel(std::uint64_t timer_id) override {
-    std::lock_guard<std::mutex> lk(timer_mu_);
+    std::lock_guard<std::mutex> lk(sched_mu_);
     if (live_timers_.count(timer_id) > 0) cancelled_.insert(timer_id);
   }
 
@@ -227,10 +198,7 @@ class AsyncRuntime final : public Transport<Msg> {
   void consume_cpu(NodeId node, double seconds) override {
     (void)node;
     if (!options_.honor_cpu_costs || seconds <= 0.0) return;
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(seconds));
+    const auto deadline = std::chrono::steady_clock::now() + span(seconds);
     while (std::chrono::steady_clock::now() < deadline) {
       // Busy-wait: the node's loop thread is genuinely occupied, which is
       // the semantics consume_cpu models.
@@ -242,6 +210,7 @@ class AsyncRuntime final : public Transport<Msg> {
   /// Run `fn` on `owner`'s serial event loop (e.g. the initial closed-loop
   /// client submissions, which must not race the client's own loop).
   void post(NodeId owner, std::function<void()> fn) {
+    if (stop_requested_.load(std::memory_order_acquire)) return;
     const auto host = find_host(owner);
     if (!host) return;
     std::lock_guard<std::mutex> lk(host->mu);
@@ -278,16 +247,9 @@ class AsyncRuntime final : public Transport<Msg> {
     for (std::size_t g = 0; g < groups.size(); ++g) {
       for (NodeId n : groups[g]) group_of[n] = static_cast<int>(g);
     }
-    std::vector<NodeId> all;
-    for (const auto& [id, g] : group_of) {
-      (void)g;
-      all.push_back(id);
-    }
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      for (std::size_t j = i + 1; j < all.size(); ++j) {
-        if (group_of[all[i]] != group_of[all[j]]) {
-          partition_blocked_.insert(ordered(all[i], all[j]));
-        }
+    for (const auto& [a, ga] : group_of) {
+      for (const auto& [b, gb] : group_of) {
+        if (a < b && ga != gb) partition_blocked_.insert({a, b});
       }
     }
   }
@@ -297,18 +259,20 @@ class AsyncRuntime final : public Transport<Msg> {
     partition_blocked_.clear();
   }
 
-  /// Fence off new sends/timers, join the timer thread, and wait until every
-  /// node loop has gone idle.  Idempotent; called by the destructor.
+  /// Fence off new sends, posts and timers, let the loops finish the nodes
+  /// already queued, and join them.  Pending timers never fire.  Idempotent;
+  /// called by the destructor; must not be called from a loop thread.
   void stop() {
     stop_requested_.store(true, std::memory_order_release);
     {
-      std::lock_guard<std::mutex> lk(timer_mu_);
+      std::lock_guard<std::mutex> lk(sched_mu_);
       stopping_ = true;
-      timer_cv_.notify_all();
     }
-    if (timer_thread_.joinable()) timer_thread_.join();
-    std::unique_lock<std::mutex> lk(tasks_mu_);
-    tasks_cv_.wait(lk, [this]() { return tasks_in_flight_ == 0; });
+    work_cv_.notify_all();
+    timer_cv_.notify_all();
+    for (std::thread& loop : loops_) {
+      if (loop.joinable()) loop.join();
+    }
   }
 
   // --- accounting ----------------------------------------------------------
@@ -368,11 +332,11 @@ class AsyncRuntime final : public Transport<Msg> {
     enqueue_frame(to, Frame{from, std::make_shared<const Bytes>(std::move(raw))});
   }
   std::size_t live_timer_count() const {
-    std::lock_guard<std::mutex> lk(timer_mu_);
+    std::lock_guard<std::mutex> lk(sched_mu_);
     return live_timers_.size();
   }
   std::size_t cancelled_pending() const {
-    std::lock_guard<std::mutex> lk(timer_mu_);
+    std::lock_guard<std::mutex> lk(sched_mu_);
     return cancelled_.size();
   }
 
@@ -392,25 +356,47 @@ class AsyncRuntime final : public Transport<Msg> {
     std::uint64_t overflow = 0;
   };
 
-  struct TimerEntry {
-    std::uint64_t id = 0;  ///< 0 = internal (not cancellable)
-    NodeId owner = 0;
-    /// Internal dispatches (delay-shaped frame releases) run on the timer
-    /// thread; user timers are posted onto the owner's loop.
-    bool direct = false;
+  /// A timer-heap entry: a user timer (`fn`, posted onto `to`'s loop), a
+  /// delay-shaped frame release (`bytes`), or else a flush of the (from, to)
+  /// coalescing buffer.  The last two run on the loop that fires them.
+  struct Timer {
+    std::chrono::steady_clock::time_point when{};
+    std::uint64_t seq = 0;  ///< insertion order: equal deadlines fire FIFO
+    std::uint64_t id = 0;   ///< user timer id; 0 = internal (not cancellable)
+    NodeId from = 0, to = 0;
+    std::shared_ptr<const Bytes> bytes;
     std::function<void()> fn;
+    bool operator>(const Timer& o) const {
+      return when != o.when ? when > o.when : seq > o.seq;
+    }
   };
-
-  // Validation happens before the timer thread member starts: throwing
-  // after a joinable std::thread is constructed would std::terminate.
-  static Options validated(Options o) {
-    TOL_ENSURE(o.inbound_capacity >= 1,
-               "inbound queue capacity must be positive");
-    return o;
-  }
 
   static std::pair<NodeId, NodeId> ordered(NodeId a, NodeId b) {
     return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
+  }
+
+  /// Unregister `id` and clear its handler under the host lock, so an
+  /// in-flight drain observes the removal and stops dispatching (frames
+  /// already queued are dropped).  Returns the removed host, if any.
+  std::shared_ptr<Host> remove_host(NodeId id) {
+    std::shared_ptr<Host> host;
+    {
+      std::lock_guard<std::mutex> lk(hosts_mu_);
+      const auto it = hosts_.find(id);
+      if (it == hosts_.end()) return nullptr;
+      host = std::move(it->second);
+      hosts_.erase(it);
+    }
+    std::lock_guard<std::mutex> lk(host->mu);
+    host->handler = nullptr;
+    host->inbox.clear();
+    host->jobs.clear();
+    return host;
+  }
+
+  static std::chrono::steady_clock::duration span(double seconds) {
+    return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+        std::chrono::duration<double>(seconds));
   }
 
   std::shared_ptr<Host> find_host(NodeId id) const {
@@ -526,9 +512,7 @@ class AsyncRuntime final : public Transport<Msg> {
     // authenticator.  Per pair that bounds the MAC (and shaping) rate to two
     // bundles per window, and FIFO order is preserved: while anything is
     // buffered or armed, nothing bypasses the queue.
-    const auto window =
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(options_.flush_window));
+    const auto window = span(options_.flush_window);
     bool ship_now = false;
     bool arm = false;
     std::vector<std::shared_ptr<const Bytes>> full;  // size-triggered flush
@@ -566,20 +550,10 @@ class AsyncRuntime final : public Transport<Msg> {
       return;
     }
     if (!arm) return;  // an earlier message already armed the flush
-    // Arm the per-pair flush: a direct (timer-thread) dispatch, like the
-    // delay-shaped frame releases.
-    const auto when =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(options_.flush_window));
-    std::lock_guard<std::mutex> lk(timer_mu_);
-    if (stopping_) return;
-    const bool new_front = timers_.empty() || when < timers_.begin()->first;
-    timers_.emplace(when, TimerEntry{0, to, /*direct=*/true,
-                                     [this, from, to]() {
-                                       flush_pair(from, to);
-                                     }});
-    if (new_front) timer_cv_.notify_all();
+    // Arm the per-pair flush: fired by a loop like the delay-shaped frame
+    // releases, not posted behind the sender's own queue.
+    push_timer(Timer{std::chrono::steady_clock::now() + window, 0, 0, from, to,
+                     nullptr, {}});
   }
 
   void flush_pair(NodeId from, NodeId to) {
@@ -644,9 +618,7 @@ class AsyncRuntime final : public Transport<Msg> {
       }
     }
     const auto now_tp = std::chrono::steady_clock::now();
-    auto when = now_tp + std::chrono::duration_cast<
-                             std::chrono::steady_clock::duration>(
-                             std::chrono::duration<double>(delay));
+    auto when = now_tp + span(delay);
     {
       // FIFO per directed pair, like the TCP channels a real deployment
       // runs on: jitter and reorder delays stretch latency, but a message
@@ -664,16 +636,7 @@ class AsyncRuntime final : public Transport<Msg> {
       enqueue_frame(to, Frame{from, std::move(bytes)});
       return;
     }
-    std::lock_guard<std::mutex> lk(timer_mu_);
-    if (stopping_) return;
-    const bool new_front = timers_.empty() || when < timers_.begin()->first;
-    timers_.emplace(
-        when,
-        TimerEntry{0, to, /*direct=*/true,
-                   [this, to, f = Frame{from, std::move(bytes)}]() mutable {
-                     enqueue_frame(to, std::move(f));
-                   }});
-    if (new_front) timer_cv_.notify_all();
+    push_timer(Timer{when, 0, 0, from, to, std::move(bytes), {}});
   }
 
   void enqueue_frame(NodeId to, Frame frame) {
@@ -690,54 +653,165 @@ class AsyncRuntime final : public Transport<Msg> {
     maybe_start_drain_locked(host);
   }
 
-  // Requires host->mu held.
+  // Requires host->mu held (it ranks above sched_mu_).  After stop() no node
+  // is queued: a node left `draining` would make detach_host wait forever.
   void maybe_start_drain_locked(const std::shared_ptr<Host>& host) {
     if (host->draining) return;
+    std::lock_guard<std::mutex> lk(sched_mu_);
+    if (stopping_) return;
     host->draining = true;
-    {
-      std::lock_guard<std::mutex> lk(tasks_mu_);
-      ++tasks_in_flight_;
-    }
-    pool_->submit([this, host]() { drain(host); });
+    push_ready_locked(host, 0);
   }
 
-  void drain(const std::shared_ptr<Host>& host) {
-    // Dispatch a bounded burst, then requeue: one hot node cannot pin a
-    // pool worker while other loops starve.
+  /// Queue a ready node; wake an idle loop if ready nodes outnumber the loops
+  /// heading for the queue (woken ones, the firing loop, and `self` = 1 when
+  /// the caller is a loop that returns to the queue next).
+  void push_ready_locked(std::shared_ptr<Host> host, int self) {
+    ready_.push_back(std::move(host));
+    const int takers = wakers_ + self + (dispatching_ ? 1 : 0);
+    if (static_cast<int>(ready_.size()) > takers) wake_loop_locked();
+  }
+
+  /// Wake one idle loop, preferring the untimed waiters to the watcher.
+  void wake_loop_locked() {
+    if (idle_ > wakers_) {
+      ++wakers_;
+      work_cv_.notify_one();
+    } else if (timed_waiter_) {
+      timer_cv_.notify_one();
+    }
+  }
+
+  /// If no loop watches the deadlines (waits for them or fires), enlist one.
+  void enlist_watcher_locked() {
+    if (!timed_waiter_ && !dispatching_ && !timers_.empty()) wake_loop_locked();
+  }
+
+  /// Queue a timer unless stop() has begun.  Returns the id of a user timer
+  /// (one with `fn`), else 0 — and cancel(0) is a no-op.
+  std::uint64_t push_timer(Timer timer) {
+    std::lock_guard<std::mutex> lk(sched_mu_);
+    if (stopping_) return 0;
+    if (timer.fn) {
+      timer.id = next_timer_id_++;
+      live_timers_.insert(timer.id);
+    }
+    const std::uint64_t id = timer.id;
+    timer.seq = next_timer_seq_++;
+    const bool new_front = timers_.empty() || timer.when < timers_.front().when;
+    timers_.push_back(std::move(timer));
+    std::push_heap(timers_.begin(), timers_.end(), std::greater<>{});
+    if (new_front && timed_waiter_) {
+      timer_cv_.notify_one();  // a later deadline leaves its wake-up standing
+    } else if (new_front) {
+      enlist_watcher_locked();
+    }
+    return id;
+  }
+
+  /// One loop thread: fire due timers, else drain a burst of the first ready
+  /// node, else wait (for the earliest deadline if no loop watches it).
+  void run_loop() {
+    std::unique_lock<std::mutex> lk(sched_mu_);
+    for (;;) {
+      if (!stopping_ && !dispatching_ && !timers_.empty() &&
+          timers_.front().when <= std::chrono::steady_clock::now()) {
+        fire_due(lk);
+        continue;
+      }
+      if (!ready_.empty()) {
+        std::shared_ptr<Host> host = std::move(ready_.front());
+        ready_.pop_front();
+        lk.unlock();
+        const bool more = drain(*host);
+        lk.lock();
+        if (more) push_ready_locked(std::move(host), 1);
+        continue;
+      }
+      if (stopping_) return;
+      // While another loop fires timers, a timed wait on a due deadline
+      // would spin: wait untimed, the firing loop re-checks when done.
+      if (!dispatching_ && !timed_waiter_ && !timers_.empty()) {
+        timed_waiter_ = true;
+        const auto when = timers_.front().when;
+        timer_cv_.wait_until(lk, when);
+        timed_waiter_ = false;
+      } else {
+        ++idle_;
+        work_cv_.wait(lk);
+        --idle_;
+        if (wakers_ > 0) --wakers_;
+      }
+    }
+  }
+
+  /// Pop every due timer in deadline order; fire them outside the lock.
+  void fire_due(std::unique_lock<std::mutex>& lk) {
+    dispatching_ = true;
+    const auto now_tp = std::chrono::steady_clock::now();
+    while (!timers_.empty() && timers_.front().when <= now_tp) {
+      std::pop_heap(timers_.begin(), timers_.end(), std::greater<>{});
+      Timer t = std::move(timers_.back());
+      timers_.pop_back();
+      if (t.id != 0) {
+        live_timers_.erase(t.id);
+        if (cancelled_.erase(t.id) > 0) continue;
+      }
+      due_.push_back(std::move(t));
+    }
+    lk.unlock();
+    for (Timer& t : due_) {
+      if (t.fn) {
+        post(t.to, std::move(t.fn));
+      } else if (t.bytes) {
+        enqueue_frame(t.to, Frame{t.from, std::move(t.bytes)});
+      } else {
+        flush_pair(t.from, t.to);
+      }
+    }
+    due_.clear();
+    lk.lock();
+    dispatching_ = false;
+  }
+
+  /// Dispatch a bounded burst (one hot node cannot pin a loop while others
+  /// starve).  Returns true if the node still has work and stays queued.
+  bool drain(Host& host) {
     for (int burst = 0; burst < kDrainBurst; ++burst) {
       std::function<void()> job;
       Frame frame;
       Handler handler;
-      bool have_frame = false;
       {
-        std::lock_guard<std::mutex> lk(host->mu);
-        if (!host->jobs.empty()) {
-          job = std::move(host->jobs.front());
-          host->jobs.pop_front();
-        } else if (!host->inbox.empty()) {
-          frame = std::move(host->inbox.front());
-          host->inbox.pop_front();
-          handler = host->handler;  // copy: unregister may clear it
-          have_frame = true;
+        std::lock_guard<std::mutex> lk(host.mu);
+        if (!host.jobs.empty()) {
+          job = std::move(host.jobs.front());
+          host.jobs.pop_front();
+          // A job may run long (a chaos-lane stall): keep the other nodes'
+          // timers on time meanwhile.
+          std::lock_guard<std::mutex> sched_lk(sched_mu_);
+          enlist_watcher_locked();
+        } else if (!host.inbox.empty()) {
+          frame = std::move(host.inbox.front());
+          host.inbox.pop_front();
+          handler = host.handler;  // copy: unregister may clear it
         } else {
-          host->draining = false;
-          finish_task();
-          return;
+          host.draining = false;
+          return false;
         }
       }
       try {
         if (job) {
           job();
-        } else if (have_frame && handler) {
-          dispatch_bundle(host->id, frame, handler);
+        } else if (handler) {
+          dispatch_bundle(host.id, frame, handler);
         }
       } catch (const std::exception&) {
-        // A throwing job must not take down the pool worker; surface
+        // A throwing job must not take down the loop thread; surface
         // through the counter (tests assert it stays zero).
         handler_errors_.fetch_add(1, std::memory_order_relaxed);
       }
     }
-    pool_->submit([this, host]() { drain(host); });  // keep the task slot
+    return true;
   }
 
   /// Authenticate one inbound bundle FIRST, then parse and dispatch its
@@ -748,13 +822,13 @@ class AsyncRuntime final : public Transport<Msg> {
   /// (or an injected frame too short to even carry a tag), never line noise.
   void dispatch_bundle(NodeId self, const Frame& frame,
                        const Handler& handler) {
+    const auto malformed = [this]() {
+      decode_errors_.fetch_add(1, std::memory_order_relaxed);
+    };
     const Bytes& b = *frame.bytes;
     const std::size_t tag_size = crypto::Digest{}.size();
-    if (b.size() < tag_size + 1) {
-      // Not even a tag plus a frame-count byte: not a bundle at all.
-      decode_errors_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
+    // Not even a tag plus a frame-count byte: not a bundle at all.
+    if (b.size() < tag_size + 1) return malformed();
     const std::size_t body = b.size() - tag_size;
     crypto::Digest tag{};
     std::copy(b.begin() + static_cast<std::ptrdiff_t>(body), b.end(),
@@ -769,29 +843,23 @@ class AsyncRuntime final : public Transport<Msg> {
     std::size_t pos = 0;
     std::uint64_t count = 0;
     if (!get_varint(b, pos, count) || pos > body || count > body) {
-      decode_errors_.fetch_add(1, std::memory_order_relaxed);
-      return;
+      return malformed();
     }
     std::vector<std::pair<std::size_t, std::size_t>> spans;
     spans.reserve(static_cast<std::size_t>(count));
     for (std::uint64_t i = 0; i < count; ++i) {
       std::uint64_t len = 0;
-      if (!get_varint(b, pos, len) || pos > body ||
-          len > body - pos) {
-        decode_errors_.fetch_add(1, std::memory_order_relaxed);
-        return;
+      if (!get_varint(b, pos, len) || pos > body || len > body - pos) {
+        return malformed();
       }
       spans.emplace_back(pos, static_cast<std::size_t>(len));
       pos += static_cast<std::size_t>(len);
     }
-    if (pos != body) {
-      decode_errors_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
+    if (pos != body) return malformed();
     for (const auto& [off, len] : spans) {
       const auto msg = Codec::decode(b.data() + off, len);
       if (!msg) {
-        decode_errors_.fetch_add(1, std::memory_order_relaxed);
+        malformed();
         continue;
       }
       delivered_.fetch_add(1, std::memory_order_relaxed);
@@ -799,58 +867,14 @@ class AsyncRuntime final : public Transport<Msg> {
         handler(frame.from, *msg);
       } catch (const std::exception&) {
         // A throwing handler must not poison the rest of the bundle (or
-        // the pool worker); surface through the counter.
+        // the loop thread); surface through the counter.
         handler_errors_.fetch_add(1, std::memory_order_relaxed);
       }
     }
   }
 
-  void finish_task() {
-    std::lock_guard<std::mutex> lk(tasks_mu_);
-    if (--tasks_in_flight_ == 0) tasks_cv_.notify_all();
-  }
-
-  void timer_loop() {
-    std::unique_lock<std::mutex> lk(timer_mu_);
-    while (!stopping_) {
-      if (timers_.empty()) {
-        timer_cv_.wait(lk);
-        continue;
-      }
-      const auto when = timers_.begin()->first;
-      if (when > std::chrono::steady_clock::now()) {
-        timer_cv_.wait_until(lk, when);
-        continue;
-      }
-      // Collect everything due, then dispatch outside the lock (posting
-      // locks host mutexes; holding timer_mu_ across that invites
-      // lock-order cycles with schedule()).
-      std::vector<TimerEntry> due;
-      const auto now_tp = std::chrono::steady_clock::now();
-      while (!timers_.empty() && timers_.begin()->first <= now_tp) {
-        TimerEntry e = std::move(timers_.begin()->second);
-        timers_.erase(timers_.begin());
-        if (e.id != 0) {
-          live_timers_.erase(e.id);
-          if (cancelled_.erase(e.id) > 0) continue;
-        }
-        due.push_back(std::move(e));
-      }
-      lk.unlock();
-      for (TimerEntry& e : due) {
-        if (e.direct) {
-          e.fn();
-        } else {
-          post(e.owner, std::move(e.fn));
-        }
-      }
-      lk.lock();
-    }
-  }
-
   static constexpr int kDrainBurst = 64;
 
-  util::ThreadPool* pool_;
   Options options_;
 
   mutable std::mutex rng_mu_;
@@ -896,17 +920,22 @@ class AsyncRuntime final : public Transport<Msg> {
   /// Chaos-lane fault injector (nullptr = faults off); owned by the caller.
   std::atomic<FaultInjector*> fault_injector_{nullptr};
 
-  mutable std::mutex timer_mu_;
-  std::condition_variable timer_cv_;
+  /// The scheduler: timer heap, ready queue and loop bookkeeping.
+  mutable std::mutex sched_mu_;
+  std::condition_variable work_cv_;   ///< untimed idle loops
+  std::condition_variable timer_cv_;  ///< the one deadline watcher
   bool stopping_ = false;
+  bool dispatching_ = false;   ///< a loop is firing due timers
+  bool timed_waiter_ = false;  ///< a loop waits for the earliest deadline
+  int idle_ = 0;               ///< loops in the untimed wait
+  int wakers_ = 0;             ///< untimed loops woken, not yet back
+  std::deque<std::shared_ptr<Host>> ready_;
+  std::vector<Timer> timers_;  ///< min-heap on (when, seq)
+  std::vector<Timer> due_;     ///< the firing loop's batch (dispatching_)
   std::uint64_t next_timer_id_ = 1;
-  std::multimap<std::chrono::steady_clock::time_point, TimerEntry> timers_;
+  std::uint64_t next_timer_seq_ = 0;
   std::unordered_set<std::uint64_t> live_timers_;
   std::unordered_set<std::uint64_t> cancelled_;
-
-  std::mutex tasks_mu_;
-  std::condition_variable tasks_cv_;
-  int tasks_in_flight_ = 0;
 
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> reordered_{0};
@@ -918,7 +947,7 @@ class AsyncRuntime final : public Transport<Msg> {
   std::atomic<std::uint64_t> bundled_frames_{0};
   std::atomic<std::uint64_t> auth_failures_{0};
 
-  std::thread timer_thread_;  ///< last member: starts after state is ready
+  std::vector<std::thread> loops_;  ///< last member: started in the body
 };
 
 }  // namespace tolerance::net

@@ -83,7 +83,6 @@ class FaultInjector {
   /// Flip bits in bundles sent by `from` with probability `rate` per bundle.
   /// rate <= 0 clears the rule.
   void set_corrupt(NodeId from, double rate);
-  void clear_all();
 
   // --- sender path (AsyncRuntime, any loop thread) -------------------------
 

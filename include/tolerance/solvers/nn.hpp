@@ -43,7 +43,6 @@ class Mlp {
   const std::vector<double>& gradients(std::size_t layer) const {
     return gw_[layer];
   }
-  std::size_t num_layers() const { return w_.size(); }
 
  private:
   std::vector<int> layer_sizes_;

@@ -9,7 +9,6 @@
 // capture the exception yourself (ParallelRunner does exactly that).
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -39,12 +38,6 @@ class ThreadPool {
 
   /// Block until every task submitted so far has finished executing.
   void wait_idle();
-
-  /// Bounded wait_idle for callers that must not hang on a stuck task (the
-  /// async controller's tests use it to observe a deliberately stalled
-  /// solve without deadlocking).  Returns true iff the pool went idle
-  /// within the timeout.
-  bool wait_idle_for(std::chrono::milliseconds timeout);
 
  private:
   void worker_loop();

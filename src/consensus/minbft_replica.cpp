@@ -97,6 +97,7 @@ MinBftReplica::~MinBftReplica() {
   disarm_view_change_timer();
   disarm_batch_timer();
   disarm_state_transfer_timer();
+  if (repair_timer_armed_) net_->cancel(repair_timer_);
 }
 
 ReplicaId MinBftReplica::current_leader() const {
@@ -424,7 +425,6 @@ bool MinBftReplica::seal_one_batch() {
   p.ui = usig_.create(p.body_digest());
   ++batches_proposed_;
   requests_proposed_ += take;
-  max_batch_ = std::max(max_batch_, take);
   PendingEntry entry;
   entry.prepare = p;
   entry.commits.insert(id_);  // the leader's PREPARE doubles as its COMMIT

@@ -38,8 +38,8 @@ MinBftRuntimeCluster::MinBftRuntimeCluster(int num_replicas,
                                            const net::NetworkProfile& profile,
                                            int threads)
     : config_(config), seed_(seed), profile_(profile),
-      pool_(default_threads(threads)),
-      runtime_(pool_, runtime_options(profile, seed, config.mac_flush_window)),
+      runtime_(default_threads(threads),
+               runtime_options(profile, seed, config.mac_flush_window)),
       registry_(std::make_shared<crypto::KeyRegistry>()) {
   // The wall-clock lane always runs the hardened recovery protocol: a
   // restarted replica stays passive until its first state install (so it

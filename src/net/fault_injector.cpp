@@ -30,12 +30,6 @@ void FaultInjector::set_corrupt(NodeId from, double rate) {
   }
 }
 
-void FaultInjector::clear_all() {
-  std::lock_guard<std::mutex> lk(mu_);
-  drop_rates_.clear();
-  corrupt_rates_.clear();
-}
-
 FaultInjector::Action FaultInjector::on_bundle(NodeId from, NodeId to) {
   std::lock_guard<std::mutex> lk(mu_);
   if (!drop_rates_.empty()) {

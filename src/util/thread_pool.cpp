@@ -46,13 +46,6 @@ void ThreadPool::wait_idle() {
   idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
-bool ThreadPool::wait_idle_for(std::chrono::milliseconds timeout) {
-  std::unique_lock<std::mutex> lock(mu_);
-  return idle_cv_.wait_for(lock, timeout, [this] {
-    return queue_.empty() && active_ == 0;
-  });
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -347,8 +348,8 @@ StringRuntime::Options instant_options() {
   return o;
 }
 
-/// Spin-wait (bounded) until `cond` holds — the runtime delivers on pool
-/// threads, so tests wait rather than step a clock.
+/// Spin-wait (bounded) until `cond` holds — the runtime delivers on its
+/// loop threads, so tests wait rather than step a clock.
 template <class Cond>
 bool eventually(Cond&& cond, std::chrono::milliseconds budget = 5000ms) {
   const auto deadline = std::chrono::steady_clock::now() + budget;
@@ -360,8 +361,7 @@ bool eventually(Cond&& cond, std::chrono::milliseconds budget = 5000ms) {
 }
 
 TEST(AsyncRuntime, DeliversAcrossEventLoops) {
-  util::ThreadPool pool(4);
-  StringRuntime rt(pool, instant_options());
+  StringRuntime rt(4, instant_options());
   std::atomic<int> pongs{0};
   rt.register_host(1, [&](net::NodeId from, const std::string& m) {
     if (m == "ping") rt.send(1, from, "pong");
@@ -377,13 +377,12 @@ TEST(AsyncRuntime, DeliversAcrossEventLoops) {
 }
 
 TEST(AsyncRuntime, PerChannelFifoSurvivesJitter) {
-  util::ThreadPool pool(4);
   StringRuntime::Options o = instant_options();
   o.replica_link.base_delay = 1e-3;
   o.replica_link.jitter = 5e-3;   // jitter >> base delay: reorder pressure
   o.replica_link.reorder = 0.3;
   o.replica_link.reorder_delay = 5e-3;
-  StringRuntime rt(pool, o);
+  StringRuntime rt(4, o);
   std::vector<int> received;  // only touched by host 2's serial loop
   std::atomic<int> count{0};
   rt.register_host(2, [&](net::NodeId, const std::string& m) {
@@ -398,8 +397,7 @@ TEST(AsyncRuntime, PerChannelFifoSurvivesJitter) {
 }
 
 TEST(AsyncRuntime, TimersFireOnOwnersLoopAndCancel) {
-  util::ThreadPool pool(4);
-  StringRuntime rt(pool, instant_options());
+  StringRuntime rt(4, instant_options());
   std::atomic<int> fired{0};
   rt.register_host(1, [](net::NodeId, const std::string&) {});
   rt.schedule(1, 0.01, [&]() { fired.fetch_add(1); });
@@ -415,10 +413,9 @@ TEST(AsyncRuntime, TimersFireOnOwnersLoopAndCancel) {
 }
 
 TEST(AsyncRuntime, BoundedInboxDropsOldest) {
-  util::ThreadPool pool(2);
   StringRuntime::Options o = instant_options();
   o.inbound_capacity = 8;
-  StringRuntime rt(pool, o);
+  StringRuntime rt(2, o);
   std::atomic<bool> gate{false};
   std::vector<std::string> received;
   std::atomic<int> count{0};
@@ -445,8 +442,7 @@ TEST(AsyncRuntime, BoundedInboxDropsOldest) {
 }
 
 TEST(AsyncRuntime, PartitionBlocksAndRepartitionClearsStalePairs) {
-  util::ThreadPool pool(4);
-  StringRuntime rt(pool, instant_options());
+  StringRuntime rt(4, instant_options());
   std::atomic<int> at3{0}, at2{0};
   rt.register_host(1, [](net::NodeId, const std::string&) {});
   rt.register_host(2, [&](net::NodeId, const std::string&) { at2.fetch_add(1); });
@@ -468,8 +464,7 @@ TEST(AsyncRuntime, PartitionBlocksAndRepartitionClearsStalePairs) {
 }
 
 TEST(AsyncRuntime, HandlerExceptionIsContainedAndCounted) {
-  util::ThreadPool pool(2);
-  StringRuntime rt(pool, instant_options());
+  StringRuntime rt(2, instant_options());
   std::atomic<int> ok{0};
   rt.register_host(1, [&](net::NodeId, const std::string& m) {
     if (m == "boom") throw std::runtime_error("boom");
@@ -483,8 +478,7 @@ TEST(AsyncRuntime, HandlerExceptionIsContainedAndCounted) {
 }
 
 TEST(AsyncRuntime, StopQuiescesUnderCrossTraffic) {
-  util::ThreadPool pool(4);
-  StringRuntime rt(pool, instant_options());
+  StringRuntime rt(4, instant_options());
   // Each delivery triggers another send: a traffic loop that only drains
   // because stop() fences transmission.
   std::atomic<std::uint64_t> hops{0};
@@ -498,6 +492,106 @@ TEST(AsyncRuntime, StopQuiescesUnderCrossTraffic) {
   EXPECT_TRUE(eventually([&]() { return hops.load() > 1000; }));
   rt.stop();  // must terminate: fences sends, drains loops
   SUCCEED();
+}
+
+/// Six senders, each sending 0..kPerSender-1 to host 0 from its own loop
+/// (one posted job per message), over a runtime of four loops.  Returns the
+/// number of frames that arrived out of per-sender order.
+int fan_in_order_violations(const net::LinkConfig& link) {
+  constexpr int kSenders = 6;
+  constexpr int kPerSender = 1000;
+  StringRuntime::Options o = instant_options();
+  o.replica_link = link;
+  o.inbound_capacity = kSenders * kPerSender;  // no drop-oldest evictions
+  StringRuntime rt(4, o);
+  std::map<net::NodeId, int> last;  // host 0's serial loop only
+  int violations = 0;
+  std::atomic<int> got{0};
+  rt.register_host(0, [&](net::NodeId from, const std::string& m) {
+    const int i = std::stoi(m);
+    const auto it = last.find(from);
+    if (it != last.end() && i <= it->second) ++violations;
+    last[from] = i;
+    got.fetch_add(1);
+  });
+  for (net::NodeId s = 1; s <= kSenders; ++s) {
+    rt.register_host(s, [](net::NodeId, const std::string&) {});
+  }
+  for (int i = 0; i < kPerSender; ++i) {
+    for (net::NodeId s = 1; s <= kSenders; ++s) {
+      rt.post(s, [&rt, s, i]() { rt.send(s, 0, std::to_string(i)); });
+    }
+  }
+  EXPECT_TRUE(eventually([&]() { return got.load() == kSenders * kPerSender; },
+                         20000ms));
+  rt.stop();
+  EXPECT_EQ(rt.overflow_dropped(), 0u);
+  return violations;
+}
+
+TEST(AsyncRuntime, FanInKeepsPerSenderOrderAcrossLoops) {
+  // Zero jitter: every frame waits the same delay, so the due set of one
+  // firing pass holds many senders' frames at once.  Two loops firing due
+  // timers concurrently would reorder a channel; one loop at a time keeps
+  // deadline order.
+  net::LinkConfig fixed = instant_link();
+  fixed.base_delay = 2e-4;
+  EXPECT_EQ(fan_in_order_violations(fixed), 0);
+}
+
+TEST(AsyncRuntime, FanInKeepsPerSenderOrderUnderJitter) {
+  net::LinkConfig jittered = instant_link();
+  jittered.base_delay = 2e-4;
+  jittered.jitter = 1e-3;  // jitter >> base delay: the FIFO clamp works hard
+  EXPECT_EQ(fan_in_order_violations(jittered), 0);
+}
+
+TEST(AsyncRuntime, CallsAfterStopAreNoOps) {
+  StringRuntime rt(2, instant_options());
+  std::atomic<int> ran{0};
+  rt.register_host(1, [&](net::NodeId, const std::string&) { ran.fetch_add(1); });
+  rt.send(2, 1, "before");
+  ASSERT_TRUE(eventually([&]() { return ran.load() == 1; }));
+  rt.stop();
+  // The loops are gone: none of these may queue work or mark the host as
+  // draining (detach_host below would then wait forever).
+  rt.post(1, [&]() { ran.fetch_add(100); });
+  rt.send(2, 1, "after");
+  rt.inject_frame(2, 1, StringCodec::encode("injected"));
+  EXPECT_EQ(rt.schedule(1, 0.0, [&]() { ran.fetch_add(100); }), 0u);
+  rt.detach_host(1);
+  rt.stop();  // idempotent
+  EXPECT_EQ(ran.load(), 1);
+  EXPECT_EQ(rt.live_timer_count(), 0u);
+  EXPECT_EQ(rt.handler_errors(), 0u);
+}
+
+TEST(AsyncRuntime, OneLoopFiresTimersWhileItsLoopDrains) {
+  // Hosts 1 and 2 bounce a token forever on zero-delay links, so the only
+  // loop always has a node to drain; a user timer and a delay-shaped frame
+  // (the client link) must still fire between its bounded bursts.
+  StringRuntime::Options o = instant_options();
+  o.client_link.base_delay = 2e-3;
+  StringRuntime rt(1, o);
+  std::atomic<std::uint64_t> hops{0};
+  for (net::NodeId id : {1u, 2u}) {
+    rt.register_host(id, [&, id](net::NodeId from, const std::string& m) {
+      hops.fetch_add(1);
+      rt.send(id, from, m);
+    });
+  }
+  std::atomic<bool> fired{false};
+  std::atomic<bool> arrived{false};
+  rt.register_host(3, [&](net::NodeId, const std::string&) { arrived = true; });
+  rt.send(1, 2, "token");
+  ASSERT_TRUE(eventually([&]() { return hops.load() > 1000; }));
+  rt.schedule(3, 0.005, [&]() { fired = true; });
+  rt.send(10001, 3, "delayed");
+  EXPECT_TRUE(eventually([&]() { return fired.load() && arrived.load(); }));
+  const std::uint64_t during = hops.load();
+  rt.stop();
+  EXPECT_GT(during, 1000u);
+  EXPECT_EQ(rt.handler_errors(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -514,10 +608,9 @@ void put_varint(net::wire::Bytes& out, std::uint64_t v) {
 }
 
 TEST(AuthBatching, FlushWindowCoalescesABurstBehindFewAuthenticators) {
-  util::ThreadPool pool(4);
   StringRuntime::Options o = instant_options();
   o.flush_window = 0.05;  // generous: the burst below fits well inside
-  StringRuntime rt(pool, o);
+  StringRuntime rt(4, o);
   std::vector<std::string> received;  // host 2's serial loop only
   std::atomic<int> got{0};
   rt.register_host(2, [&](net::NodeId, const std::string& m) {
@@ -543,8 +636,7 @@ TEST(AuthBatching, FlushWindowCoalescesABurstBehindFewAuthenticators) {
 TEST(AuthBatching, ZeroWindowShipsOneAuthenticatorPerMessage) {
   // flush_window = 0 is the unbatched baseline: bundle == frame, and the
   // delivered stream is identical to the coalesced one above.
-  util::ThreadPool pool(4);
-  StringRuntime rt(pool, instant_options());
+  StringRuntime rt(4, instant_options());
   std::vector<std::string> received;
   std::atomic<int> got{0};
   rt.register_host(2, [&](net::NodeId, const std::string& m) {
@@ -562,8 +654,7 @@ TEST(AuthBatching, ZeroWindowShipsOneAuthenticatorPerMessage) {
 }
 
 TEST(AuthBatching, ForgedOrMalformedBundlesAreRejectedWithoutDelivery) {
-  util::ThreadPool pool(4);
-  StringRuntime rt(pool, instant_options());
+  StringRuntime rt(4, instant_options());
   std::atomic<int> got{0};
   rt.register_host(2, [&](net::NodeId, const std::string&) {
     got.fetch_add(1);
@@ -611,17 +702,16 @@ net::wire::Bytes hand_tagged_bundle(std::uint64_t seed, net::NodeId from,
 }
 
 TEST(LinkKeyCache, KeysArePureFunctionsOfSeedAndDirectedPair) {
-  // Two runtimes with different seeds share a one-worker pool, so one
-  // thread's cache holds keys for both, in the same slot for the same pair.
-  // A bundle tagged under (seed, from, to) authenticates only in the
+  // Two runtimes with different seeds sign on the sending thread, so this
+  // test thread's cache holds keys for both, in the same slot for the same
+  // pair.  A bundle tagged under (seed, from, to) authenticates only in the
   // runtime with that seed and only on that directed pair.
-  util::ThreadPool pool(1);
   StringRuntime::Options o1 = instant_options();
   o1.seed = 11;
   StringRuntime::Options o2 = instant_options();
   o2.seed = 12;
-  StringRuntime rt1(pool, o1);
-  StringRuntime rt2(pool, o2);
+  StringRuntime rt1(1, o1);
+  StringRuntime rt2(1, o2);
   std::atomic<int> got1{0}, got2{0};
   for (net::NodeId id : {1u, 2u}) {
     rt1.register_host(id, [&](net::NodeId, const std::string&) { ++got1; });
@@ -649,16 +739,16 @@ TEST(LinkKeyCache, KeysArePureFunctionsOfSeedAndDirectedPair) {
 
 TEST(LinkKeyCache, ManyPairsAuthenticateAcrossRuntimesUnderEviction) {
   // More directed pairs than the cache has slots, from two runtimes with
-  // different seeds on the same threads: slots are evicted and refilled
-  // concurrently, and every bundle must still authenticate.
-  util::ThreadPool pool(4);
+  // different seeds: this test thread signs for both, evicting and
+  // refilling its slots, while each runtime's loops verify under their own
+  // caches concurrently — and every bundle must still authenticate.
   constexpr net::NodeId kNodes = 24;  // 24 * 23 = 552 directed pairs each
   std::vector<std::unique_ptr<StringRuntime>> runtimes;
   std::atomic<int> got{0};
   for (std::uint64_t seed : {21u, 22u}) {
     StringRuntime::Options o = instant_options();
     o.seed = seed;
-    runtimes.push_back(std::make_unique<StringRuntime>(pool, o));
+    runtimes.push_back(std::make_unique<StringRuntime>(4, o));
     for (net::NodeId id = 0; id < kNodes; ++id) {
       runtimes.back()->register_host(
           id, [&](net::NodeId, const std::string&) { ++got; });
